@@ -14,12 +14,8 @@ import numpy as np
 
 from . import electro, fuchs, nets, poly, tracker
 from .combinat import catalan, kostka
-from .errors import (CountMismatch, NewtonDiverged, PathStuck,
-                     ScheduleExhausted, TraceLost, WronskiError)
+from .errors import WronskiError
 from .tracker import TrackOptions
-
-NUMERICAL = (PathStuck, CountMismatch, TraceLost, NewtonDiverged,
-             ScheduleExhausted)
 
 
 def _parse_points(text):
@@ -260,7 +256,6 @@ def build_parser():
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--content", type=lambda s: tuple(
         int(t) for t in s.split(",") if t.strip()), default=None)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--starts", type=int, default=20000)
     p.add_argument("--jobs", type=int, default=1)
@@ -300,9 +295,8 @@ def run(argv=None):
         doc = COMMANDS[args.command](args)
         code = 0
     except (SystemExit2, WronskiError, ValueError) as e:
-        numerical = isinstance(e, NUMERICAL)
         doc = {"error": str(e), "kind": type(e).__name__}
-        code = 1 if numerical else 2
+        code = 1 if getattr(e, "numerical", False) else 2
     text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     if getattr(args, "json_path", None):
         with open(args.json_path, "w") as fh:

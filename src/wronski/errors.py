@@ -2,7 +2,13 @@
 
 
 class WronskiError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    `numerical` marks a failure of the numerics (a path, count, trace or
+    conditioning problem) rather than of the input; the CLI exits 1 for
+    those and 2 for the rest.
+    """
+    numerical = False
 
 
 class ZeroPolynomial(WronskiError):
@@ -30,37 +36,35 @@ class NonPositiveParameter(WronskiError):
 
 
 class ScheduleExhausted(WronskiError):
-    pass
+    numerical = True
 
 
 class ChartDegenerate(WronskiError):
-    pass
+    numerical = True
 
 
 class NewtonDiverged(WronskiError):
-    pass
+    numerical = True
 
 
 class SingularJacobian(WronskiError):
-    pass
+    numerical = True
 
 
 class PathStuck(WronskiError):
-    pass
-
-
-class CollisionDetected(WronskiError):
-    pass
+    numerical = True
 
 
 class CountMismatch(WronskiError):
+    numerical = True
+
     def __init__(self, message, branch_logs=None):
         super().__init__(message)
         self.branch_logs = branch_logs or []
 
 
 class MultipleRoot(WronskiError):
-    pass
+    numerical = True
 
 
 class DuplicatePoints(WronskiError):
@@ -72,7 +76,7 @@ class NegativeDiscriminant(WronskiError):
 
 
 class NotASolution(WronskiError):
-    pass
+    numerical = True
 
 
 class Collision(WronskiError):
@@ -88,7 +92,7 @@ class SharedRoot(WronskiError):
 
 
 class TraceLost(WronskiError):
-    pass
+    numerical = True
 
 
 class NonRealInput(WronskiError):

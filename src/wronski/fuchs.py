@@ -17,7 +17,7 @@ import numpy as np
 
 from . import poly
 from .errors import (DegeneratePair, DuplicatePoints, MultipleRoot,
-                     NegativeDiscriminant, NotASolution)
+                     NegativeDiscriminant, NotASolution, WronskiError)
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,7 @@ def bethe_solve(a, budget=100000, seed=0):
         try:
             for cls in tracker.solve_all(a, (n + 2) // 2):
                 candidates.append(residues((cls.q1.real, cls.q2.real), a))
-        except Exception:
+        except WronskiError:
             pass
     if budget > 0:
         candidates.extend(_multistart(a, budget, seed))
@@ -286,8 +286,7 @@ def polynomial_solutions(a, x):
         C = poly.polyadd(C, xk * poly.deflate(A, ak).real)
     M = _operator_matrix(A, B, C, n)
     scale = np.abs(M).max()
-    sv = np.linalg.svd(M / scale, compute_uv=False)
-    _, _, vh = np.linalg.svd(M / scale)
+    _, sv, vh = np.linalg.svd(M / scale)
     if sv[-3] < 1e6 * max(sv[-2], 1e-300) or sv[-2] > 1e-8:
         raise NotASolution("operator nullspace is not 2-dimensional")
     basis = [poly.normalize(v, tol=1e-9) for v in vh[-2:]]

@@ -1,12 +1,13 @@
-"""Seed pairs for the continuation solver.
+"""F-operations on canonical pairs, the steps of the staged construction.
 
-Starting from (z^{d-1}, z^d), prepending one positive low-order term at a
-time (operations F1/F2 under the permission rule) produces, for each ballot
-sequence, a pair whose Wronskian has 2d-2 simple roots packed geometrically
-inside (-1, 0).  A geometric shrink schedule stands in for the existence
-argument that valid parameter ranges exist: each inserted parameter is
-shrunk until the new root lands closest to zero and the whole root set
-stays simple and well separated.
+Starting from (z^{d-1}, z^d), each operation F1/F2, allowed under the
+permission rule, adds one positive low-order term a*z^{k_i - 1} to q1 or
+q2 and so moves one Wronskian root off 0 to a small negative position.
+A ballot sequence fixes the order of the operations.  The search for a
+parameter a that gives a valid birth lives in tracker.build_branch: it
+shrinks a by SeedSchedule.ratio until the newborn root is simple, real and
+nearest zero, then continues it to its prescribed position before the
+next operation fires.
 """
 
 from dataclasses import dataclass, replace
@@ -14,9 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import poly
-from .combinat import is_ballot
-from .errors import (InvalidBallot, NonPositiveParameter, NotPermitted,
-                     ScheduleExhausted)
+from .errors import NonPositiveParameter, NotPermitted
 
 
 @dataclass(frozen=True)
@@ -88,52 +87,3 @@ def lowest_coeff(pair):
     """Coefficient of the lowest-order Wronskian term,
     (k2 - k1) * a_{2,k2} * a_{1,k1}."""
     return (pair.k2 - pair.k1) * pair.q2[pair.k2] * pair.q1[pair.k1]
-
-
-def _negative_roots(pair):
-    """Simple negative roots of W(q1, q2) after stripping the root at 0.
-
-    Returns None when the computed roots violate the expected pattern
-    (real, simple, inside (-1, 0), geometrically separated).
-    """
-    w = pair.wronskian()
-    k = pair.order
-    body = w[k:]
-    if body.size - 1 != 2 * pair.d - 2 - k:
-        return None
-    r = np.roots(body[::-1]) if body.size > 1 else np.array([])
-    if r.size == 0:
-        return np.array([])
-    if np.abs(r.imag).max() > 1e-9 * (1 + np.abs(r).max()):
-        return None
-    x = np.sort(r.real)
-    if x[0] <= -1 or x[-1] >= 0:
-        return None
-    mags = np.sort(np.abs(x))
-    if np.any(mags[1:] < 10.0 * mags[:-1]):
-        return None
-    return x
-
-
-def seed_from_ballot(sigma, d, schedule=SeedSchedule()):
-    """Run the F-operations of a ballot sequence with a shrink schedule.
-
-    The m-th inserted parameter starts at ratio^m and is shrunk by ratio
-    until the Wronskian roots stay simple, inside (-1, 0), and separated
-    by a factor >= 10 in magnitude.
-    """
-    if len(sigma) != 2 * d - 2 or not is_ballot(sigma):
-        raise InvalidBallot(f"not a ballot sequence of length {2*d-2}: {sigma!r}")
-    pair = initial_pair(d)
-    for m, ch in enumerate(sigma, start=1):
-        a = schedule.ratio ** m
-        for _ in range(schedule.max_retries):
-            candidate = apply_F(int(ch), a, pair)
-            if _negative_roots(candidate) is not None:
-                pair = candidate
-                break
-            a *= schedule.ratio
-        else:
-            raise ScheduleExhausted(
-                f"no valid parameter found at step {m} of {sigma!r}")
-    return replace(pair, sigma=sigma)

@@ -1,18 +1,25 @@
 """Inverse Wronski solver.
 
-A class of rational functions is represented concretely in a chart: a pair
-(q1 monic of degree d-1, q2 monic of degree d with q2(z0) = 0) for a real
-base point z0.  That leaves 2d-2 free real (in practice) coefficients, the
-same as the number of prescribed critical points.  Newton's method inverts
-the coefficient system W(q1, q2) = prod (z - r_j); predictor-corrector
-continuation moves the target roots linearly; chart switching handles the
-finitely many classes each base point cannot represent.
+A class of rational functions is represented concretely in a chart: a real
+base point z0 and a vanishing pattern b(k1, k2) with 0 <= k1 < k2 <= d.
+The chart's pairs are q1 monic of degree d-1 with q1[:k1] = 0 and q2 monic
+of degree d with q2[1:k2] = 0 and q2(z0) = 0; the other coefficients are
+the unknowns, 2d-2-k of them for k = k1 + k2 - 1.  Every pattern but
+b(0, 1) is used at z0 = 0, where W(q1, q2) / z^k is a monic polynomial of
+degree 2d-2-k, so the unknowns are fixed by asking it to vanish at as many
+prescribed real roots rho_j.  One Newton corrector solves that square
+system in Lagrange form, with rows W(rho_j) / (rho_j^k w'(rho_j) |rho_j|)
+for w = prod (z - rho_j), and one predictor-corrector loop moves the rho_j
+linearly.
 
 solve_all builds one branch per ballot sequence and carries each to the
 requested critical points, returning every class.  Branch construction is
 staged: every F-operation's newborn Wronskian root is continued out to its
-prescribed position before the next operation fires, so only one root is
-ever microscopic and each branch stays resolvable in double precision.
+prescribed position in the chart b(k1, k2) at 0 before the next operation
+fires, so only one root is ever microscopic and each branch stays
+resolvable in double precision.  The finished branch is renormalized into
+the chart b(0, 1) at a base point away from the critical points and
+polished there by the same corrector.
 """
 
 from dataclasses import dataclass, replace
@@ -22,17 +29,19 @@ from numpy.polynomial import polynomial as P
 
 from . import poly
 from .combinat import ballot_sequences, catalan
-from .errors import (ChartDegenerate, CollisionDetected, CountMismatch,
-                     NewtonDiverged, PathStuck, ScheduleExhausted,
-                     SingularJacobian)
-from .seeds import (CanonicalPair, SeedSchedule, apply_F, initial_pair,
-                    seed_from_ballot)
+from .errors import (ChartDegenerate, CountMismatch, NewtonDiverged,
+                     PathStuck, ScheduleExhausted, SingularJacobian)
+from .seeds import CanonicalPair, SeedSchedule, apply_F, initial_pair
 
 
 @dataclass(frozen=True)
 class Chart:
+    """Base point z0 and vanishing pattern b(k1, k2); see the module
+    docstring.  b(0, 1) is the chart of finished classes."""
     base_point: float
     d: int
+    k1: int = 0
+    k2: int = 1
 
 
 @dataclass(frozen=True)
@@ -41,7 +50,6 @@ class TrackOptions:
     max_newton: int = 8
     dt_init: float = 0.05
     dt_min: float = 1e-9
-    chart_retries: int = 5
     rng_seed: int = 0
 
 
@@ -75,19 +83,21 @@ class PairClass:
 
 def _unpack(u, chart):
     """Chart coordinates -> (q1, q2) coefficient arrays."""
-    d = chart.d
-    z0 = chart.base_point
-    q1 = np.concatenate([u[: d - 1], [1.0]]).astype(complex)
+    d, k1, k2 = chart.d, chart.k1, chart.k2
+    q1 = np.zeros(d, dtype=complex)
+    q1[d - 1] = 1.0
+    q1[k1: d - 1] = u[: d - 1 - k1]
     q2 = np.zeros(d + 1, dtype=complex)
     q2[d] = 1.0
-    q2[1:d] = u[d - 1:]
+    q2[k2:d] = u[d - 1 - k1:]
     # q2(z0) = 0 pins the constant term.
-    q2[0] = -P.polyval(z0, q2)
+    q2[0] = -P.polyval(chart.base_point, q2)
     return q1, q2
 
 
-def _pack(pc):
-    return np.concatenate([pc.q1[: pc.d - 1], pc.q2[1: pc.d]])
+def _pack(q1, q2, chart):
+    return np.concatenate([q1[chart.k1: chart.d - 1],
+                           q2[chart.k2: chart.d]]).astype(complex)
 
 
 def pair_class(u, chart, ballot=""):
@@ -95,58 +105,12 @@ def pair_class(u, chart, ballot=""):
     return PairClass(q1=q1, q2=q2, chart=chart, ballot=ballot)
 
 
-def _wronskian_padded(q1, q2, n):
-    w = P.polysub(P.polymul(q1, P.polyder(q2)), P.polymul(P.polyder(q1), q2))
-    out = np.zeros(n, dtype=complex)
-    out[: min(n, w.size)] = w[:n]
-    return out, w
-
-
-def wronski_residual(pc, target_roots):
-    """Coefficient mismatch W(pair) - prod(z - r_j), monic term dropped."""
-    target = poly.from_roots(np.asarray(target_roots))
-    return _residual(_pack(pc), pc.chart, target)
-
-
-def _residual(u, chart, target_coeffs):
-    d = chart.d
-    n = 2 * d - 2
-    q1, q2 = _unpack(u, chart)
-    wlow, w = _wronskian_padded(q1, q2, n)
-    if w.size <= n or abs(w[n]) < 1e-10:
-        raise ChartDegenerate("Wronskian lost its leading coefficient")
-    return wlow - target_coeffs[:n]
-
-
-def _jacobian(u, chart):
-    """Analytic Jacobian of the residual in chart coordinates.
-
-    By bilinearity, the derivative in the j-th coefficient of q1 is
-    W(z^j, q2); in the j-th coefficient of q2 it is W(q1, z^j) corrected
-    for the constrained constant term, W(q1, z^j) - z0^j * W(q1, 1).
-    """
-    d = chart.d
-    n = 2 * d - 2
-    z0 = chart.base_point
-    q1, q2 = _unpack(u, chart)
-    J = np.zeros((n, n), dtype=complex)
-    q2p = P.polyder(q2)
-    q1p = P.polyder(q1)
-    for j in range(d - 1):
-        ej = np.zeros(j + 1, dtype=complex)
-        ej[j] = 1.0
-        col = P.polysub(P.polymul(ej, q2p), P.polymul(P.polyder(ej), q2))
-        J[: min(n, col.size), j] = col[:n]
-    w_const = np.zeros(n, dtype=complex)  # W(q1, 1) = -q1'
-    w_const[: min(n, q1p.size)] = -q1p[:n]
-    for j in range(1, d):
-        ej = np.zeros(j + 1, dtype=complex)
-        ej[j] = 1.0
-        col = P.polysub(P.polymul(q1, P.polyder(ej)), P.polymul(q1p, ej))
-        full = np.zeros(n, dtype=complex)
-        full[: min(n, col.size)] = col[:n]
-        J[:, d - 2 + j] = full - (z0 ** j) * w_const
-    return J
+def _wronski_tensor(d):
+    """T[m, a, b] = coefficient of z^m in W(z^a, z^b) = (b - a) z^(a+b-1)."""
+    m = np.arange(2 * d - 1)[:, None, None]
+    a = np.arange(d)[None, :, None]
+    b = np.arange(d + 1)[None, None, :]
+    return np.where(a + b - 1 == m, b - a, 0).astype(float)
 
 
 def _lagrange_weights(rho):
@@ -163,75 +127,52 @@ def _lagrange_weights(rho):
     return diff.prod(axis=1) * mags
 
 
-def _residual_values(u, chart, rho, weights):
-    """The same square system in Lagrange form: W(u)(rho_j) / w'(rho_j).
+def _lagrange_rows(u, chart, rho, weights):
+    """The chart's square system in Lagrange form, evaluated at rho.
 
-    Equivalent to the coefficientwise residual (a monic degree-(2d-2)
-    difference is determined by its values at the 2d-2 target roots) but
-    conditioned per root, which keeps branch identity readable when the
-    roots span many orders of magnitude near the thorn.
+    Returns (r, dr, J, floor): the rows r_j = (W / z^k)(rho_j) / weights_j,
+    their derivatives in rho_j, their Jacobian in the chart coordinates,
+    and their noise floor.  By bilinearity the derivative in q1[a] is
+    W(z^a, q2) and in q2[b] it is W(q1, z^b) - z0^b W(q1, 1), the second
+    term from the pinned constant of q2; all of them, and W itself, come
+    from one coefficient tensor and one Vandermonde product.
     """
+    d, k1, k2 = chart.d, chart.k1, chart.k2
+    k = k1 + k2 - 1
     q1, q2 = _unpack(u, chart)
-    _, w = _wronskian_padded(q1, q2, 2 * chart.d - 2)
-    if w.size != 2 * chart.d - 1:
+    T = _wronski_tensor(d)
+    by_q1 = T @ q2                      # columns W(z^a, q2)
+    by_q2 = q1 @ T                      # columns W(q1, z^b)
+    w = by_q1 @ q1
+    if w[2 * d - 2] == 0:
         raise ChartDegenerate("Wronskian lost its leading coefficient")
-    return P.polyval(rho, w) / weights
+    by_q2 = by_q2 - np.power(chart.base_point, np.arange(d + 1)) \
+        * by_q2[:, :1]
+    # W / z^k is structurally exact: every dropped coefficient is zero.
+    body = w[k:]
+    n = body.size - 1
+    dbody = np.append(body[1:] * np.arange(1, n + 1), 0.0)
+    V = np.vander(rho, n + 1, increasing=True)
+    vals = V @ np.column_stack([body, dbody, by_q1[k:, k1: d - 1],
+                                by_q2[k:, k2:d]]) / weights[:, None]
+    # Evaluating W at clustered roots loses eps * sum |c_i rho^i| to
+    # rounding; below that level the residual is pure noise and Newton
+    # cannot be asked to go further.
+    floor = 50 * np.finfo(float).eps * (np.abs(V) @ np.abs(body)) \
+        / np.abs(weights)
+    return vals[:, 0], vals[:, 1], vals[:, 2:], floor
 
 
-def _jacobian_values(u, chart, rho, weights):
-    d = chart.d
-    z0 = chart.base_point
-    q1, q2 = _unpack(u, chart)
-    n = 2 * d - 2
-    J = np.zeros((n, n), dtype=complex)
-    q2p = P.polyder(q2)
-    q1p = P.polyder(q1)
-    rho_pow = rho[:, None] ** np.arange(d + 1)[None, :]
-    q1_v = P.polyval(rho, q1)
-    q2_v = P.polyval(rho, q2)
-    q1p_v = P.polyval(rho, q1p)
-    q2p_v = P.polyval(rho, q2p)
-    for j in range(d - 1):
-        # W(z^j, q2) evaluated at the target roots.
-        J[:, j] = (rho_pow[:, j] * q2p_v
-                   - j * rho_pow[:, j - 1] * q2_v if j > 0
-                   else rho_pow[:, 0] * q2p_v) / weights
-    w_const = -q1p_v  # W(q1, 1)
-    for j in range(1, d):
-        col = q1_v * j * rho_pow[:, j - 1] - q1p_v * rho_pow[:, j]
-        J[:, d - 2 + j] = (col - (z0 ** j) * w_const) / weights
-    return J
-
-
-def _noise_floor(u, chart, rho, weights):
-    """Cancellation limit of the scaled residual rows.
-
-    Evaluating the Wronskian at clustered roots loses eps * sum |c_i
-    rho^i| to rounding; below that level the residual is pure noise and
-    Newton cannot be asked to go further.
-    """
-    q1, q2 = _unpack(u, chart)
-    _, w = _wronskian_padded(q1, q2, 2 * chart.d - 2)
-    mag = P.polyval(np.abs(rho), np.abs(w))
-    return 50 * np.finfo(float).eps * mag / np.abs(weights)
-
-
-def _newton(u, chart, rho, opts, weights=None):
-    rho = np.asarray(rho, dtype=complex)
-    if weights is None:
-        weights = _lagrange_weights(rho)
+def _newton(u, chart, rho, opts):
+    """Newton-correct chart coordinates u onto Wronskian roots rho."""
+    weights = _lagrange_weights(rho)
     tol = opts.newton_tol * 100
-    for _ in range(opts.max_newton):
-        r = _residual_values(u, chart, rho, weights)
-        if np.all(np.abs(r) <= np.maximum(
-                tol, _noise_floor(u, chart, rho, weights))):
+    for it in range(opts.max_newton + 1):
+        r, _, J, floor = _lagrange_rows(u, chart, rho, weights)
+        if np.all(np.abs(r) <= np.maximum(tol, floor)):
             return u
-        u = u - _equilibrated_solve(
-            _jacobian_values(u, chart, rho, weights), r, u)
-    r = _residual_values(u, chart, rho, weights)
-    if np.all(np.abs(r) <= np.maximum(
-            tol, _noise_floor(u, chart, rho, weights))):
-        return u
+        if it < opts.max_newton:
+            u = u - _equilibrated_solve(J, r, u)
     raise NewtonDiverged("Newton did not converge")
 
 
@@ -255,10 +196,37 @@ def _equilibrated_solve(J, r, u):
     return np.linalg.solve(Js, r) / colnorm * colscale
 
 
+def _track(u, chart, start, end, opts):
+    """Linear root homotopy rho(t) = start + t (end - start) in one chart."""
+    rates = end - start
+    t, dt = 0.0, opts.dt_init
+    while t < 1.0:
+        step = min(dt, 1.0 - t)
+        rho_t = start + t * rates
+        try:
+            # Euler predictor on the implicit system r(u, rho(t)) = 0.
+            _, dr, J, _ = _lagrange_rows(u, chart, rho_t,
+                                         _lagrange_weights(rho_t))
+            du = _equilibrated_solve(J, -dr * rates, u) * step
+            u_next = _newton(u + du, chart, start + (t + step) * rates, opts)
+        except (NewtonDiverged, SingularJacobian, np.linalg.LinAlgError):
+            dt = step / 2
+            # Near t = 0 the newborn root is microscopic and legitimately
+            # needs steps below dt_min; the underflow trigger is relative
+            # to the distance already travelled.
+            if dt < opts.dt_min * max(t, opts.dt_min):
+                raise PathStuck("staged step size underflow")
+            continue
+        u = u_next
+        t += step
+        dt = min(2 * dt, opts.dt_init)
+    return u
+
+
 def newton_polish(pc, target_roots, opts=TrackOptions()):
     """Newton-correct a pair class onto the given target critical points."""
     rho = np.sort(np.asarray(target_roots))
-    u = _newton(_pack(pc), pc.chart, rho, opts)
+    u = _newton(_pack(pc.q1, pc.q2, pc.chart), pc.chart, rho, opts)
     return pair_class(u, pc.chart, pc.ballot)
 
 
@@ -296,105 +264,6 @@ def to_chart(f1, f2, chart):
     return g1[:d], g2[: d + 1]
 
 
-def from_seed(seed):
-    """Wrap a thorn seed in the base-point-0 chart."""
-    chart = Chart(base_point=0.0, d=seed.d)
-    return PairClass(q1=seed.q1.astype(complex), q2=seed.q2.astype(complex),
-                     chart=chart, ballot=seed.sigma)
-
-
-def _roots_consistent(u, chart, rho):
-    """Check that the tracked pair's Wronskian roots sit on the path.
-
-    Guards against branch jumping: every interpolated root must have the
-    tracked Wronskian root within a fraction of its gap to the others.
-    """
-    q1, q2 = _unpack(u, chart)
-    w = poly.wronskian(q1, q2)
-    if w.size != rho.size + 1:
-        return False
-    try:
-        actual = poly.roots(w)
-    except Exception:
-        return False
-    diff = np.abs(rho[:, None] - rho[None, :])
-    np.fill_diagonal(diff, np.inf)
-    gaps = diff.min(axis=1)
-    order = np.argsort(rho.real)
-    actual_sorted = actual[np.argsort(actual.real)]
-    dist = np.abs(actual_sorted - rho[order])
-    return bool(np.all(dist <= 0.3 * gaps[order]))
-
-
-def _switch_chart(pc, roots_now, rng):
-    d = pc.d
-    for _ in range(100):
-        z0 = rng.uniform(-3.0, 3.0)
-        if np.abs(np.asarray(roots_now) - z0).min() < 1e-2:
-            continue
-        try:
-            g1, g2 = to_chart(pc.q1, pc.q2, Chart(base_point=z0, d=d))
-        except ChartDegenerate:
-            continue
-        return PairClass(q1=g1, q2=g2, chart=Chart(base_point=z0, d=d),
-                         ballot=pc.ballot)
-    raise PathStuck("could not find a usable chart base point")
-
-
-def track(pc, roots_start, roots_end, opts=TrackOptions()):
-    """Continue a class along linear motion of its Wronskian roots."""
-    start = np.sort(np.asarray(roots_start, dtype=float))
-    end = np.sort(np.asarray(roots_end, dtype=float))
-    if start.size != end.size:
-        raise CollisionDetected("root lists have different lengths")
-    for arr in (start, end):
-        if arr.size > 1 and np.diff(arr).min() < 1e-10:
-            raise CollisionDetected("interpolated roots collide")
-    rng = np.random.default_rng(opts.rng_seed)
-    rates = end - start
-    u = _pack(pc)
-    chart = pc.chart
-    t, dt = 0.0, opts.dt_init
-    switches = 0
-    while t < 1.0:
-        step = min(dt, 1.0 - t)
-        roots_t = (start + t * rates).astype(complex)
-        rho_next = (start + (t + step) * rates).astype(complex)
-        try:
-            # Euler predictor on the implicit system W(u)(rho_j(t)) = 0.
-            weights = _lagrange_weights(roots_t)
-            q1, q2 = _unpack(u, chart)
-            _, w = _wronskian_padded(q1, q2, 2 * pc.d - 2)
-            wp_v = P.polyval(roots_t, P.polyder(w))
-            rhs = -(wp_v * rates) / weights
-            J = _jacobian_values(u, chart, roots_t, weights)
-            du = _equilibrated_solve(J, rhs, u) * step
-            u_next = _newton(u + du, chart, rho_next, opts)
-            if not _roots_consistent(u_next, chart, rho_next):
-                raise NewtonDiverged("corrector left the tracked branch")
-        except (NewtonDiverged, SingularJacobian, ChartDegenerate,
-                np.linalg.LinAlgError):
-            dt = step / 2
-            # Near t = 0 the thorn roots span many orders of magnitude and
-            # legitimately need steps below dt_min; the underflow trigger
-            # is relative to the distance already travelled.
-            if dt < opts.dt_min * max(t, opts.dt_min):
-                if switches >= opts.chart_retries:
-                    raise PathStuck(
-                        f"step size underflow after {switches} chart switches")
-                switches += 1
-                cur = pair_class(u, chart, pc.ballot)
-                cur = _switch_chart(cur, roots_t.real, rng)
-                chart = cur.chart
-                u = _pack(cur)
-                dt = opts.dt_init
-            continue
-        u = u_next
-        t += step
-        dt = min(2 * dt, opts.dt_init)
-    return pair_class(u, chart, pc.ballot)
-
-
 def _affine_into_unit(points):
     """Order-preserving affine map with image inside (-0.95, -0.05)."""
     pmin, pmax = points.min(), points.max()
@@ -403,115 +272,14 @@ def _affine_into_unit(points):
     return alpha, beta
 
 
-def _staged_unpack(u, d, k1, k2):
-    """Coordinates of the b(k1, k2) vanishing-pattern chart."""
-    q1 = np.zeros(d, dtype=complex)
-    q1[d - 1] = 1.0
-    q1[k1: d - 1] = u[: d - 1 - k1]
-    q2 = np.zeros(d + 1, dtype=complex)
-    q2[d] = 1.0
-    q2[k2:d] = u[d - 1 - k1:]
-    return q1, q2
-
-
-def _staged_pack(pair):
-    return np.concatenate([pair.q1[pair.k1: pair.d - 1],
-                           pair.q2[pair.k2: pair.d]]).astype(complex)
-
-
-def _staged_body(q1, q2, k):
-    """W(q1, q2) / z^k; the division is structurally exact."""
-    w = P.polysub(P.polymul(q1, P.polyder(q2)), P.polymul(P.polyder(q1), q2))
-    return w[k:]
-
-
-def _staged_residual(u, d, k1, k2, rho, weights):
-    q1, q2 = _staged_unpack(u, d, k1, k2)
-    body = _staged_body(q1, q2, k1 + k2 - 1)
-    return P.polyval(rho, body) / weights
-
-
-def _staged_jacobian(u, d, k1, k2, rho, weights):
-    k = k1 + k2 - 1
-    q1, q2 = _staged_unpack(u, d, k1, k2)
-    m = rho.size
-    J = np.zeros((m, m), dtype=complex)
-    col = 0
-    for j in range(k1, d - 1):
-        ej = np.zeros(j + 1, dtype=complex)
-        ej[j] = 1.0
-        body = _staged_body(ej, q2, k)
-        J[:, col] = P.polyval(rho, body) / weights
-        col += 1
-    for j in range(k2, d):
-        ej = np.zeros(j + 1, dtype=complex)
-        ej[j] = 1.0
-        body = _staged_body(q1, ej, k)
-        J[:, col] = P.polyval(rho, body) / weights
-        col += 1
-    return J
-
-
-def _staged_noise_floor(u, d, k1, k2, rho, weights):
-    q1, q2 = _staged_unpack(u, d, k1, k2)
-    body = _staged_body(q1, q2, k1 + k2 - 1)
-    mag = P.polyval(np.abs(rho), np.abs(body))
-    return 50 * np.finfo(float).eps * mag / np.abs(weights)
-
-
-def _staged_newton(u, d, k1, k2, rho, opts, weights=None):
-    if weights is None:
-        weights = _lagrange_weights(rho)
-    tol = opts.newton_tol * 100
-    for _ in range(opts.max_newton):
-        r = _staged_residual(u, d, k1, k2, rho, weights)
-        if np.all(np.abs(r) <= np.maximum(
-                tol, _staged_noise_floor(u, d, k1, k2, rho, weights))):
-            return u
-        u = u - _equilibrated_solve(
-            _staged_jacobian(u, d, k1, k2, rho, weights), r, u)
-    r = _staged_residual(u, d, k1, k2, rho, weights)
-    if np.all(np.abs(r) <= np.maximum(
-            tol, _staged_noise_floor(u, d, k1, k2, rho, weights))):
-        return u
-    raise NewtonDiverged("staged Newton did not converge")
-
-
-def _staged_roots(pair):
-    """Negative simple roots of W(pair) after stripping the root at 0."""
-    body = _staged_body(pair.q1.astype(complex), pair.q2.astype(complex),
-                        pair.order)
+def _birth_roots(pair):
+    """Roots of W(pair) / z^order, the ones away from 0, by real part."""
+    body = poly.wronskian(pair.q1.astype(complex),
+                          pair.q2.astype(complex))[pair.order:]
     if body.size < 2:
         return np.array([])
-    r = np.roots(body[::-1].astype(complex))
+    r = np.roots(body[::-1])
     return r[np.argsort(r.real)]
-
-
-def _track_staged(u, d, k1, k2, start, end, opts):
-    """Linear root homotopy inside one b(k1, k2) chart."""
-    rates = end - start
-    t, dt = 0.0, opts.dt_init
-    while t < 1.0:
-        step = min(dt, 1.0 - t)
-        rho_t = start + t * rates
-        rho_n = start + (t + step) * rates
-        try:
-            weights = _lagrange_weights(rho_t)
-            q1, q2 = _staged_unpack(u, d, k1, k2)
-            body = _staged_body(q1, q2, k1 + k2 - 1)
-            rhs = -(P.polyval(rho_t, P.polyder(body)) * rates) / weights
-            J = _staged_jacobian(u, d, k1, k2, rho_t, weights)
-            du = _equilibrated_solve(J, rhs, u) * step
-            u_next = _staged_newton(u + du, d, k1, k2, rho_n, opts)
-        except (NewtonDiverged, SingularJacobian, np.linalg.LinAlgError):
-            dt = step / 2
-            if dt < opts.dt_min * max(t, opts.dt_min):
-                raise PathStuck("staged step size underflow")
-            continue
-        u = u_next
-        t += step
-        dt = min(2 * dt, opts.dt_init)
-    return u
 
 
 def _birth_ok(roots_now, placed, span):
@@ -553,16 +321,17 @@ def build_branch(sigma, mapped, d, opts=TrackOptions(),
         placed = mapped[: m - 1]
         for _ in range(schedule.max_retries):
             cand = apply_F(int(ch), a, pair)
-            born = _staged_roots(cand)
+            born = _birth_roots(cand)
             if _birth_ok(born, placed, span):
                 break
             a *= schedule.ratio
         else:
             raise ScheduleExhausted(
                 f"no valid birth parameter at step {m} of {sigma!r}")
-        u = _track_staged(_staged_pack(cand), d, cand.k1, cand.k2,
-                          np.sort(born.real), mapped[:m], opts)
-        q1, q2 = _staged_unpack(u, d, cand.k1, cand.k2)
+        chart = Chart(base_point=0.0, d=d, k1=cand.k1, k2=cand.k2)
+        u = _track(_pack(cand.q1, cand.q2, chart), chart,
+                   np.sort(born.real), mapped[:m], opts)
+        q1, q2 = _unpack(u, chart)
         pair = CanonicalPair(d=d, k1=cand.k1, k2=cand.k2,
                              q1=q1, q2=q2, sigma=sigma[:m])
     return PairClass(q1=pair.q1.astype(complex), q2=pair.q2.astype(complex),

@@ -13,7 +13,7 @@ import pytest
 from wronski import cli, electro, fuchs, nets, poly, tracker
 from wronski.combinat import catalan, kostka, count_nets_multiplicity
 from wronski.electro import ChargeConfig
-from wronski.errors import NotASolution
+from wronski.errors import NotASolution, WronskiError
 from wronski.tracker import Chart
 
 EXPECTED = {2: 1, 3: 2, 4: 5, 5: 14}
@@ -203,25 +203,41 @@ def test_criterion_8_counting_identities():
 
 
 def test_criterion_9_numerical_hygiene():
-    # analytic Wronski Jacobian vs central finite differences
+    # analytic Jacobian of the Lagrange-form rows that the Newton corrector
+    # solves vs central finite differences, on the polish chart b(0, 1) at
+    # a random base point and on staged charts b(k1, k2) at 0
     rng = np.random.default_rng(11)
-    checked = 0
+    checked = draws = 0
     while checked < 100:
+        draws += 1
+        assert draws <= 1000, f"only {checked} of 100 Jacobians checked"
         d = int(rng.integers(2, 5))
-        chart = Chart(base_point=float(rng.uniform(-2, 2)), d=d)
-        u = rng.normal(size=2 * d - 2)
+        if checked % 2:
+            k1 = int(rng.integers(0, d))
+            k2 = int(rng.integers(k1 + 1, d + 1))
+            if k1 + k2 > 2 * d - 2:
+                continue
+            chart = Chart(base_point=0.0, d=d, k1=k1, k2=k2)
+        else:
+            chart = Chart(base_point=float(rng.uniform(-2, 2)), d=d)
+        n = 2 * d - 1 - chart.k1 - chart.k2
+        rho = np.sort(rng.uniform(-1, 0, n))
+        if n > 1 and np.diff(rho).min() < 1e-2:
+            continue
+        u = rng.normal(size=n)
+        weights = tracker._lagrange_weights(rho)
         h = 1e-6
         try:
-            J = tracker._jacobian(u, chart)
-            target = np.zeros(2 * d - 2)
+            _, _, J, _ = tracker._lagrange_rows(u, chart, rho, weights)
             fd = np.zeros_like(J)
-            for j in range(u.size):
+            for j in range(n):
                 up, um = u.copy(), u.copy()
                 up[j] += h
                 um[j] -= h
-                fd[:, j] = (tracker._residual(up, chart, target) -
-                            tracker._residual(um, chart, target)).real / (2 * h)
-        except Exception:
+                fd[:, j] = (tracker._lagrange_rows(up, chart, rho, weights)[0]
+                            - tracker._lagrange_rows(um, chart, rho, weights)[0]
+                            ) / (2 * h)
+        except WronskiError:
             continue
         scale = max(1.0, np.abs(J).max())
         assert np.abs(J - fd).max() / scale < 1e-5

@@ -6,7 +6,8 @@ import sys
 import jsonschema
 import pytest
 
-from wronski import cli
+from wronski import cli, tracker
+from wronski.errors import WronskiError
 
 SCHEMA = json.load(open(os.path.join(os.path.dirname(cli.__file__),
                                      "schema.json")))
@@ -147,3 +148,21 @@ def test_schema_validates_every_command(args):
 def test_run_in_process():
     code, text = cli.run(["count", "--d", "5"])
     assert code == 0 and json.loads(text)["u"] == 14
+
+
+NUMERICAL_KINDS = {"PathStuck", "CountMismatch", "TraceLost", "NewtonDiverged",
+                   "ScheduleExhausted", "SingularJacobian", "ChartDegenerate",
+                   "MultipleRoot", "NotASolution"}
+
+
+@pytest.mark.parametrize("error", sorted(WronskiError.__subclasses__(),
+                                         key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_exit_code_from_error_class(monkeypatch, error):
+    def solve_all(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(tracker, "solve_all", solve_all)
+    code, text = cli.run(["solve", "--points", "-1,1"])
+    assert code == (1 if error.__name__ in NUMERICAL_KINDS else 2)
+    assert json.loads(text) == {"error": "boom", "kind": error.__name__}

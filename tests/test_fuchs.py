@@ -3,7 +3,7 @@ import pytest
 
 from wronski import fuchs, poly, tracker
 from wronski.errors import (DegeneratePair, DuplicatePoints,
-                            NegativeDiscriminant, NotASolution)
+                            NegativeDiscriminant, NotASolution, PathStuck)
 
 Z = np.array([0.0, 1.0])
 Z2P1 = np.array([1.0, 0.0, 1.0])
@@ -62,6 +62,32 @@ def test_bethe_solve_n2():
     xs = {tuple(np.round(s.x, 8)) for s in sols}
     assert xs == {(-1.0, 1.0), (0.0, 0.0)}
     assert sorted(s.s for s in sols) == [1, 3]
+
+
+def _raising(exc):
+    calls = []
+
+    def solve_all(*args, **kwargs):
+        calls.append(args)
+        raise exc
+
+    return solve_all, calls
+
+
+def test_bethe_solve_survives_solver_failure(monkeypatch):
+    solve_all, calls = _raising(PathStuck("stuck"))
+    monkeypatch.setattr(tracker, "solve_all", solve_all)
+    sols = fuchs.bethe_solve([-1, 1], budget=2000, seed=0)
+    assert calls
+    xs = {tuple(np.round(s.x, 8)) for s in sols}
+    assert xs == {(-1.0, 1.0), (0.0, 0.0)}
+
+
+def test_bethe_solve_propagates_bugs(monkeypatch):
+    solve_all, _ = _raising(TypeError("bug"))
+    monkeypatch.setattr(tracker, "solve_all", solve_all)
+    with pytest.raises(TypeError):
+        fuchs.bethe_solve([-1, 1], budget=2000, seed=0)
 
 
 def test_bethe_solve_n4_counts():

@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from wronski import poly, seeds
-from wronski.combinat import ballot_sequences
+from wronski import seeds
 from wronski.errors import NonPositiveParameter, NotPermitted
 
 
@@ -45,31 +42,6 @@ def test_lowest_coeff_formula():
     k = p.order
     assert w[k] == pytest.approx(seeds.lowest_coeff(p))
     assert seeds.lowest_coeff(p) == pytest.approx((p.k2 - p.k1) * 1.0 * 0.3)
-
-
-def _check_seed(pair, d):
-    w = pair.wronskian()
-    assert pair.order == 0  # all 2d-2 roots away from the origin
-    r = poly.roots(w)
-    assert r.size == 2 * d - 2
-    assert np.abs(r.imag).max() < 1e-9 * (1 + np.abs(r).max())
-    x = np.sort(r.real)
-    assert x[0] > -1 and x[-1] < 0
-    assert np.unique(np.round(x, 14)).size == x.size
-
-
-def test_seed_from_ballot_all_branches():
-    for d in (2, 3, 4):
-        for sigma in ballot_sequences(d):
-            pair = seeds.seed_from_ballot(sigma, d)
-            _check_seed(pair, d)
-            assert pair.sigma == sigma
-
-
-@given(st.sampled_from(ballot_sequences(5)))
-@settings(max_examples=14, deadline=None)
-def test_seed_from_ballot_d5(sigma):
-    _check_seed(seeds.seed_from_ballot(sigma, 5), 5)
 
 
 def test_schedule_validation():

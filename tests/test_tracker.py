@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from wronski import poly, seeds, tracker
+from wronski import poly, tracker
 from wronski.combinat import ballot_sequences, catalan
-from wronski.errors import ChartDegenerate, CollisionDetected
+from wronski.errors import ChartDegenerate
 from wronski.tracker import Chart, PairClass, TrackOptions
 
 
@@ -39,32 +39,6 @@ def test_solve_all_validates_input():
         tracker.solve_all([-1.0, 0.0, 1.0], 3)  # wrong count
     with pytest.raises(ValueError):
         tracker.solve_all([-1.0, -1.0, 0.0, 1.0], 3)  # duplicates
-
-
-def test_track_rejects_collisions():
-    pts = np.array([-2.0, -1.0, 1.0, 2.0])
-    pc = tracker.solve_all(pts, 3)[0]
-    with pytest.raises(CollisionDetected):
-        tracker.track(pc, pts, [-2.0, -1.0, 1.0])
-    with pytest.raises(CollisionDetected):
-        tracker.track(pc, pts, [-2.0, -1.0, 1.0, 1.0])
-
-
-def test_track_moves_roots():
-    start = np.array([-2.0, -1.0, 1.0, 2.0])
-    end = np.array([-2.5, -0.5, 0.8, 3.0])
-    pc = tracker.solve_all(start, 3)[0]
-    moved = tracker.track(pc, start, end)
-    got = np.sort(moved.wronskian_roots().real)
-    assert np.abs(got - end).max() < 1e-8
-
-
-def test_from_seed_and_chart_base():
-    pair = seeds.seed_from_ballot("1212", 3)
-    pc = tracker.from_seed(pair)
-    assert pc.chart.base_point == 0.0
-    r = np.sort(pc.wronskian_roots().real)
-    assert r.size == 4 and r[0] > -1 and r[-1] < 0
 
 
 def test_to_chart_renormalizes_span():
@@ -111,12 +85,6 @@ def test_solve_all_parallel_jobs_match_serial():
     for a, b in zip(serial, parallel):
         assert a.ballot == b.ballot
         assert poly.span_equivalent((a.q1, a.q2), (b.q1, b.q2), tol=1e-8)
-
-
-def test_wronski_residual_zero_at_solution():
-    pts = np.array([-1.0, 1.0])
-    pc = tracker.solve_all(pts, 2)[0]
-    assert np.abs(tracker.wronski_residual(pc, pts)).max() < 1e-9
 
 
 def test_solve_branch_order_matches_ballot_dictionary():
