@@ -114,8 +114,7 @@ def cmd_bethe(args):
         raise SystemExit2("bethe requires --points (the singular points a)")
     if np.unique(args.points).size != args.points.size:
         raise SystemExit2("points must be distinct")
-    sols = fuchs.bethe_solve(args.points, budget=args.starts,
-                             seed=_seed(args))
+    sols = fuchs.bethe_solve(args.points)
     return {"command": "bethe", "a": _vec(np.sort(args.points)),
             "solutions": [{"x": _vec(s.x), "s": s.s,
                            "qstar": _round(s.qstar),
@@ -128,8 +127,7 @@ def cmd_equilibrium(args):
     if np.unique(args.points).size != args.points.size:
         raise SystemExit2("points must be distinct")
     try:
-        eqs = electro.solve_equilibrium(args.points, args.m,
-                                        budget=args.starts, seed=_seed(args))
+        eqs = electro.solve_equilibrium(args.points, args.m)
     except ValueError as e:
         raise SystemExit2(str(e))
     docs = []
@@ -257,7 +255,9 @@ def build_parser():
     p.add_argument("--content", type=lambda s: tuple(
         int(t) for t in s.split(",") if t.strip()), default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--starts", type=int, default=20000)
+    # Accepted and ignored, so that command lines that pass the budget of
+    # the former random multistart still run.
+    p.add_argument("--starts", type=int, help=argparse.SUPPRESS)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", dest="json_path", default=None)
     p.add_argument("--svg", default=None)

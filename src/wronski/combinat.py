@@ -36,20 +36,30 @@ def is_ballot(sigma):
     return depth == 0
 
 
-def ballot_sequences(d):
-    """All ballot sequences of length 2d-2, lexicographic."""
+def ballot_sequences(d, e=None):
+    """All F-words of the degree pair (e, d), lexicographic.
+
+    A word has e letters 1 and d-1 letters 2, and every prefix keeps the
+    permission rule k2 > k1 + 1 of the staged construction before each 2,
+    so at most d-e-1 more 2s than 1s.  There are C(n, e) - C(n, e-1) of
+    them for n = d+e-1; the default e = d-1 gives the ballot sequences
+    of length 2d-2.
+    """
     if d < 2:
         raise ValueError("degree must be at least 2")
-    n = 2 * d - 2
+    e = d - 1 if e is None else e
+    if not 0 <= e < d:
+        raise ValueError("lower degree must lie in [0, d)")
+    n = d + e - 1
     out = []
 
     def rec(prefix, ones, twos):
         if len(prefix) == n:
             out.append(prefix)
             return
-        if ones < n // 2:
+        if ones < e:
             rec(prefix + "1", ones + 1, twos)
-        if twos < ones:
+        if twos < ones + d - e - 1:
             rec(prefix + "2", ones, twos + 1)
 
     rec("", 0, 0)

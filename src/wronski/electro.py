@@ -11,8 +11,9 @@ and the equilibrium condition for charge k reads
     2 sum_{j != k} 1/(z_k - z_j) - sum_j 1/(z_k - a_j) = 0.
 
 Equilibria coincide with root sets of the lower-degree polynomial
-solutions of the associated second order equation, which is how
-solve_equilibrium cross-checks its Newton sweep.
+solutions of the associated second order equation: solve_equilibrium
+takes the Bethe sector whose lower degree is m (fuchs.bethe_sector) and
+returns the roots of each solution's lower polynomial.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fuchs, poly
-from .errors import Collision, NonzeroResidue, SharedRoot
+from .errors import Collision, NonzeroResidue, NotASolution, SharedRoot
 
 
 @dataclass(frozen=True)
@@ -94,93 +95,57 @@ def _residual_jacobian(z, fixed):
     return J
 
 
-def _multistart(fixed, m, budget, seed):
-    n = fixed.size
-    rng = np.random.default_rng(seed)
-    L = 1.5 * (1 + np.abs(fixed).max())
-    batch = 2000
-    found = []
-    done = 0
-    while done < budget:
-        b = min(batch, budget - done)
-        done += b
-        Z = rng.uniform(-L, L, size=(b, m)) \
-            + 1j * rng.uniform(-L, L, size=(b, m))
-        # half the starts on the real axis, where many equilibria live
-        Z[: b // 2] = Z[: b // 2].real
-        for _ in range(60):
-            dz = Z[:, :, None] - Z[:, None, :]
-            dz[:, np.arange(m), np.arange(m)] = 1.0
-            inv = 1.0 / dz
-            inv2 = inv * inv
-            inv[:, np.arange(m), np.arange(m)] = 0.0
-            inv2[:, np.arange(m), np.arange(m)] = 0.0
-            da = Z[:, :, None] - fixed[None, None, :]
-            F = 2 * inv.sum(axis=2) - (1.0 / da).sum(axis=2)
-            J = 2.0 * inv2
-            J[:, np.arange(m), np.arange(m)] = \
-                -(2.0 * inv2).sum(axis=2) + (1.0 / da ** 2).sum(axis=2) + 1e-14
-            try:
-                step = np.linalg.solve(J, F[:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:
-                Z = Z + rng.normal(scale=1e-3, size=(b, m))
-                continue
-            Z = Z - np.clip(step.real, -L, L) - 1j * np.clip(step.imag, -L, L)
-        found.append(Z)
-    return np.concatenate(found) if found else np.empty((0, m), complex)
-
-
 def _canonical(z):
     """Sort a mobile set lexicographically by (real, imag)."""
     order = np.lexsort((z.imag, z.real))
     return z[order]
 
 
-def _is_equilibrium(fixed, z, tol=1e-9):
-    try:
-        c = ChargeConfig(fixed=fixed, mobile=z)
-        return np.abs(equilibrium_residual(c)).max(initial=0.0) <= tol
-    except Collision:
-        return False
+def _refine(z, fixed):
+    """Three Newton steps on the force.  Between close fixed charges the
+    roots of the lower polynomial can leave forces above 1e-9, but they
+    lie well inside Newton's quadratic basin."""
+    for _ in range(3):
+        F = equilibrium_residual(ChargeConfig(fixed=fixed, mobile=z))
+        z = z - np.linalg.solve(_residual_jacobian(z, fixed), F)
+    return z
 
 
-def solve_equilibrium(fixed, m, budget=20000, seed=0):
-    """All isolated equilibria of m mobile charges among the fixed ones."""
+def _isolated_equilibrium(fixed, z, tol=1e-9):
+    """Zero force, closed under conjugation (isolated equilibria are
+    real-symmetric), and a full-rank Jacobian (non-isolated families have
+    rank-deficient ones)."""
+    force = equilibrium_residual(ChargeConfig(fixed=fixed, mobile=z))
+    sv = np.linalg.svd(_residual_jacobian(z, fixed), compute_uv=False)
+    return (np.abs(force).max(initial=0.0) <= tol
+            and np.abs(z[:, None] - z.conj()).min(axis=1).max() <= 1e-8
+            and sv[0] / max(sv[-1], 1e-300) < 1e10)
+
+
+def solve_equilibrium(fixed, m):
+    """All isolated equilibria of m mobile charges among the fixed ones.
+
+    Raises NotASolution, naming the sector and the F-word, when a root set
+    is not an isolated equilibrium.
+    """
     fixed = np.sort(np.asarray(fixed, dtype=float))
     n = fixed.size
     if not 0 <= 2 * m <= n:
         raise ValueError("no degree pair exists for this charge count")
     if m == 0:
         return [ChargeConfig(fixed=fixed, mobile=np.zeros(0, complex))]
-    candidates = []
-    s = n + 1 - 2 * m
-    for sol in fuchs.bethe_solve(fixed, budget=0):
-        if sol.s != s:
-            continue
-        lo, _ = fuchs.polynomial_solutions(fixed, sol.x)
-        candidates.append(poly.roots(lo))
-    if budget > 0:
-        candidates.extend(_multistart(fixed, m, budget, seed))
     out = []
-    for z in candidates:
-        if z.size != m or not np.isfinite(z).all():
-            continue
-        z = _canonical(np.asarray(z, dtype=complex))
-        if not _is_equilibrium(fixed, z):
-            continue
-        # conjugation closure (isolated equilibria are real-symmetric)
-        zc = _canonical(z.conj())
-        if np.abs(z - zc).max() > 1e-8:
-            continue
-        # isolation: non-isolated families have rank-deficient Jacobians
-        J = _residual_jacobian(z, fixed)
-        if not np.isfinite(J).all():
-            continue
-        sv = np.linalg.svd(J, compute_uv=False)
-        if sv[0] / max(sv[-1], 1e-300) >= 1e10:
-            continue
-        if any(np.abs(z - prev.mobile).max() < 1e-6 for prev in out):
-            continue
+    for sol in fuchs.bethe_sector(fixed, m):
+        lo, _ = fuchs.polynomial_solutions(fixed, sol.x)
+        z = poly.roots(lo).astype(complex)
+        try:
+            z = _canonical(_refine(z, fixed))
+            ok = z.size == m and _isolated_equilibrium(fixed, z)
+        except (Collision, np.linalg.LinAlgError):
+            ok = False
+        if not ok:
+            raise NotASolution(f"sector e={m}, word {sol.word}: roots are "
+                               "not an isolated equilibrium")
         out.append(ChargeConfig(fixed=fixed, mobile=z))
     out.sort(key=lambda c: tuple((v.real, v.imag) for v in c.mobile))
     return out

@@ -9,6 +9,12 @@ rational system
 
 and conversely every real solution of that system reconstructs a class
 through the two-dimensional polynomial nullspace of the operator.
+
+The solutions split into sectors by the lower degree e <= n/2 of the
+class, with s = n + 1 - 2e; sector e holds C(n, e) - C(n, e-1) of them.
+bethe_solve takes each sector's classes from the homotopy solver
+(tracker.solve_all with degrees (e, n + 1 - e)) and reads off their
+residues, so it is deterministic and complete or raises.
 """
 
 from dataclasses import dataclass
@@ -17,7 +23,7 @@ import numpy as np
 
 from . import poly
 from .errors import (DegeneratePair, DuplicatePoints, MultipleRoot,
-                     NegativeDiscriminant, NotASolution, WronskiError)
+                     NegativeDiscriminant, NotASolution)
 
 
 @dataclass(frozen=True)
@@ -38,6 +44,7 @@ class BetheSolution:
     s: int
     qstar: float
     degrees: tuple
+    word: str = ""
 
 
 def _simple_real_roots(A):
@@ -118,69 +125,6 @@ def prop6_check(x, a):
     return total, qstar, float(np.sqrt(max(disc, 0.0)))
 
 
-def _admissible(x, a, tol=1e-9):
-    try:
-        total, _, s = prop6_check(x, a)
-    except NegativeDiscriminant:
-        return None
-    n = a.size
-    if abs(total) > tol:
-        return None
-    s_int = int(round(s))
-    if abs(s - s_int) > 1e-6 or not 1 <= s_int <= n + 1:
-        return None
-    if (n + s_int) % 2 == 0:
-        return None
-    return s_int
-
-
-def _multistart(a, budget, seed):
-    """Batched Gauss-Newton sweep over random starts.
-
-    The square quadratic system has exactly singular Jacobians at the
-    degenerate solutions (the ones with s > 1), where plain Newton only
-    stagnates in a flat valley.  Appending the linear constraint
-    sum(x) = 0 -- satisfied by every genuine solution -- restores full
-    column rank and quadratic convergence.
-    """
-    n = a.size
-    rng = np.random.default_rng(seed)
-    diff = a[None, :] - a[:, None]
-    np.fill_diagonal(diff, np.inf)
-    inv = 1.0 / diff                         # inv[k, j] = 1/(a_j - a_k)
-    offdiag = -inv                           # dF_k/dx_j for j != k
-    row_sum = inv.sum(axis=1)
-    batch = 2000
-    found = []
-    done = 0
-    while done < budget:
-        b = min(batch, budget - done)
-        done += b
-        X = rng.uniform(-n, n, size=(b, n))
-        for _ in range(60):
-            F = np.concatenate(
-                [bethe_residual_batch(X, inv), X.sum(axis=1, keepdims=True)],
-                axis=1)
-            J = np.empty((b, n + 1, n))
-            J[:, :n, :] = offdiag
-            J[:, np.arange(n), np.arange(n)] = 2 * X + row_sum
-            J[:, n, :] = 1.0
-            JT = J.transpose(0, 2, 1)
-            lhs = JT @ J + 1e-14 * np.eye(n)
-            step = np.linalg.solve(lhs, JT @ F[:, :, None])[:, :, 0]
-            X = np.clip(X - step, -1e6, 1e6)
-        F = bethe_residual_batch(X, inv)
-        ok = np.abs(F).max(axis=1) <= 1e-9
-        ok &= np.abs(X.sum(axis=1)) <= 1e-9
-        ok &= np.isfinite(X).all(axis=1)
-        found.append(X[ok])
-    return np.concatenate(found) if found else np.empty((0, n))
-
-
-def bethe_residual_batch(X, inv):
-    return X ** 2 - ((X[:, None, :] - X[:, :, None]) * inv).sum(axis=2)
-
-
 def _refine(x, a, iters=50):
     """Polish one candidate with the sum-augmented Gauss-Newton step."""
     n = a.size
@@ -201,57 +145,40 @@ def _refine(x, a, iters=50):
     return x
 
 
-def _single_charge_candidates(a):
-    """Solutions whose smaller polynomial has degree one.
+def bethe_sector(a, e):
+    """The solutions of one sector, whose class has lower degree e.
 
-    For y2 = z - z1 the equation forces A'(z1) = 0 and then
-    C = A'/(z - z1) exactly, so every real critical point of
-    A = prod(z - a_j) yields one candidate in closed form.
+    Each class of degrees (e, n + 1 - e) with Wronskian roots a gives its
+    residues, polished by _refine; raises NotASolution, naming the sector
+    and the F-word, when one misses the residual, sum or s check.
     """
-    A = poly.from_roots(a).real
-    Ap = poly.derivative(A)
+    from . import tracker
+    a = np.sort(np.asarray(a, dtype=float))
+    n = a.size
+    d = n + 1 - e
     out = []
-    for z1 in poly.real_roots(Ap):
-        C = poly.deflate(Ap, z1).real
-        out.append(np.real(poly.polyval(C, a) / poly.polyval(Ap, a)))
+    for cls in tracker.solve_all(a, d, e):
+        # + 0.0 turns the -0.0 of a zero residue over a negative A'(a_k)
+        # into 0.0
+        x = _refine(residues((cls.q1.real, cls.q2.real), a), a) + 0.0
+        total, qstar, s = prop6_check(x, a)
+        if np.abs(bethe_residual(x, a)).max() > 1e-9 or abs(total) > 1e-9 \
+                or abs(s - (d - e)) > 1e-6:
+            raise NotASolution(f"sector e={e}, word {cls.ballot}: residues "
+                               "fail the Bethe check")
+        out.append(BetheSolution(a=a, x=x, s=d - e, qstar=qstar,
+                                 degrees=(d, e), word=cls.ballot))
     return out
 
 
-def bethe_solve(a, budget=100000, seed=0):
-    """All real solutions of the quadratic system at the given points.
-
-    Candidates come from three sources: the trivial solution x = 0, the
-    homotopy solver when n = 2d - 2 allows it, and a budgeted multistart
-    Newton sweep.  Everything is filtered through the residual and the
-    sum / discriminant constraints, then deduplicated.
-    """
+def bethe_solve(a):
+    """All real solutions of the quadratic system at the given points,
+    sector by sector; see bethe_sector."""
     a = np.sort(np.asarray(a, dtype=float))
     n = a.size
     if n > 1 and np.diff(a).min() < 1e-12 * (1 + np.abs(a).max()):
         raise DuplicatePoints("singular points must be distinct")
-    candidates = [np.zeros(n)]
-    candidates.extend(_single_charge_candidates(a))
-    if n >= 2 and n % 2 == 0:
-        from . import tracker
-        try:
-            for cls in tracker.solve_all(a, (n + 2) // 2):
-                candidates.append(residues((cls.q1.real, cls.q2.real), a))
-        except WronskiError:
-            pass
-    if budget > 0:
-        candidates.extend(_multistart(a, budget, seed))
-    out = []
-    for x in map(lambda c: _refine(c, a), candidates):
-        if np.abs(bethe_residual(x, a)).max() > 1e-9:
-            continue
-        s = _admissible(x, a)
-        if s is None:
-            continue
-        if any(np.abs(x - prev.x).max() < 1e-6 for prev in out):
-            continue
-        _, qstar, _ = prop6_check(x, a)
-        out.append(BetheSolution(a=a, x=x, s=s, qstar=qstar,
-                                 degrees=((n + 1 + s) // 2, (n + 1 - s) // 2)))
+    out = [sol for e in range(n // 2 + 1) for sol in bethe_sector(a, e)]
     out.sort(key=lambda sol: (sol.s, tuple(np.round(sol.x, 9))))
     return out
 

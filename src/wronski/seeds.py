@@ -1,12 +1,13 @@
 """F-operations on canonical pairs, the steps of the staged construction.
 
-Starting from (z^{d-1}, z^d), each operation F1/F2, allowed under the
-permission rule, adds one positive low-order term a*z^{k_i - 1} to q1 or
-q2 and so moves one Wronskian root off 0 to a small negative position.
-A ballot sequence fixes the order of the operations.  The search for a
-parameter a that gives a valid birth lives in tracker.build_branch: it
-shrinks a by SeedSchedule.ratio until the newborn root is simple, real and
-nearest zero, then continues it to its prescribed position before the
+Starting from (z^e, z^d) with 0 <= e < d, each operation F1/F2, allowed
+under the permission rule, adds one positive low-order term a*z^{k_i - 1}
+to q1 or q2 and so moves one Wronskian root off 0 to a small negative
+position.  F1 fires e times and F2 d-1 times, in the order of an F-word
+(combinat.ballot_sequences; a ballot sequence when e = d-1).  The search
+for a parameter a that gives a valid birth lives in tracker.build_branch:
+it shrinks a by SeedSchedule.ratio until the newborn root is simple, real
+and nearest zero, then continues it to its prescribed position before the
 next operation fires.
 """
 
@@ -20,7 +21,7 @@ from .errors import NonPositiveParameter, NotPermitted
 
 @dataclass(frozen=True)
 class CanonicalPair:
-    """Normalized pair: q1 monic of degree d-1, q2 monic of degree d,
+    """Normalized pair: q1 monic of degree e < d, q2 monic of degree d,
     lowest-order exponents k1 < k2, all stored coefficients positive."""
     d: int
     k1: int
@@ -48,15 +49,19 @@ class SeedSchedule:
             raise ValueError("ratio must be in (0, 1)")
 
 
-def initial_pair(d):
-    """The unique pair with k1 = d-1, k2 = d: (z^{d-1}, z^d)."""
+def initial_pair(d, e=None):
+    """The unique pair with k1 = e, k2 = d: (z^e, z^d), by default
+    e = d-1."""
     if d < 2:
         raise ValueError("degree must be at least 2")
-    q1 = np.zeros(d)
-    q1[d - 1] = 1.0
+    e = d - 1 if e is None else e
+    if not 0 <= e < d:
+        raise ValueError("lower degree must lie in [0, d)")
+    q1 = np.zeros(e + 1)
+    q1[e] = 1.0
     q2 = np.zeros(d + 1)
     q2[d] = 1.0
-    return CanonicalPair(d=d, k1=d - 1, k2=d, q1=q1, q2=q2)
+    return CanonicalPair(d=d, k1=e, k2=d, q1=q1, q2=q2)
 
 
 def permitted(i, pair):

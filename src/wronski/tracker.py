@@ -1,25 +1,27 @@
 """Inverse Wronski solver.
 
-A class of rational functions is represented concretely in a chart: a real
-base point z0 and a vanishing pattern b(k1, k2) with 0 <= k1 < k2 <= d.
-The chart's pairs are q1 monic of degree d-1 with q1[:k1] = 0 and q2 monic
-of degree d with q2[1:k2] = 0 and q2(z0) = 0; the other coefficients are
-the unknowns, 2d-2-k of them for k = k1 + k2 - 1.  Every pattern but
-b(0, 1) is used at z0 = 0, where W(q1, q2) / z^k is a monic polynomial of
-degree 2d-2-k, so the unknowns are fixed by asking it to vanish at as many
+A class of real pairs of degrees (e, d), 0 <= e < d, is represented
+concretely in a chart: a real base point z0 and a vanishing pattern
+b(k1, k2) with 0 <= k1 <= e and k1 < k2 <= d.  The chart's pairs are q1
+monic of degree e with q1[:k1] = 0 and q2 monic of degree d with
+q2[1:k2] = 0 and q2(z0) = 0; the other coefficients are the unknowns, n-k
+of them for n = d+e-1 and k = k1 + k2 - 1.  Every pattern but b(0, 1) is
+used at z0 = 0, where W(q1, q2) / z^k is d-e times a monic polynomial of
+degree n-k, so the unknowns are fixed by asking it to vanish at as many
 prescribed real roots rho_j.  One Newton corrector solves that square
 system in Lagrange form, with rows W(rho_j) / (rho_j^k w'(rho_j) |rho_j|)
 for w = prod (z - rho_j), and one predictor-corrector loop moves the rho_j
 linearly.
 
-solve_all builds one branch per ballot sequence and carries each to the
-requested critical points, returning every class.  Branch construction is
-staged: every F-operation's newborn Wronskian root is continued out to its
-prescribed position in the chart b(k1, k2) at 0 before the next operation
-fires, so only one root is ever microscopic and each branch stays
-resolvable in double precision.  The finished branch is renormalized into
-the chart b(0, 1) at a base point away from the critical points and
-polished there by the same corrector.
+solve_all builds one branch per F-word of the degree pair (a ballot
+sequence when e = d-1, the rational functions of degree d) and carries
+each to the n requested points, returning every class.  Branch
+construction is staged: every F-operation's newborn Wronskian root is
+continued out to its prescribed position in the chart b(k1, k2) at 0
+before the next operation fires, so only one root is ever microscopic and
+each branch stays resolvable in double precision.  The finished branch
+is renormalized into the chart b(0, 1) at a base point away from the
+critical points and polished there by the same corrector.
 """
 
 from dataclasses import dataclass, replace
@@ -28,7 +30,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from . import poly
-from .combinat import ballot_sequences, catalan
+from .combinat import ballot_sequences
 from .errors import (ChartDegenerate, CountMismatch, NewtonDiverged,
                      PathStuck, ScheduleExhausted, SingularJacobian)
 from .seeds import CanonicalPair, SeedSchedule, apply_F, initial_pair
@@ -36,12 +38,18 @@ from .seeds import CanonicalPair, SeedSchedule, apply_F, initial_pair
 
 @dataclass(frozen=True)
 class Chart:
-    """Base point z0 and vanishing pattern b(k1, k2); see the module
-    docstring.  b(0, 1) is the chart of finished classes."""
+    """Base point z0 and vanishing pattern b(k1, k2) for pairs of degrees
+    (e, d), by default e = d-1; see the module docstring.  b(0, 1) is the
+    chart of finished classes."""
     base_point: float
     d: int
     k1: int = 0
     k2: int = 1
+    e: int = None
+
+    def __post_init__(self):
+        if self.e is None:
+            object.__setattr__(self, "e", self.d - 1)
 
 
 @dataclass(frozen=True)
@@ -83,20 +91,20 @@ class PairClass:
 
 def _unpack(u, chart):
     """Chart coordinates -> (q1, q2) coefficient arrays."""
-    d, k1, k2 = chart.d, chart.k1, chart.k2
-    q1 = np.zeros(d, dtype=complex)
-    q1[d - 1] = 1.0
-    q1[k1: d - 1] = u[: d - 1 - k1]
+    d, e, k1, k2 = chart.d, chart.e, chart.k1, chart.k2
+    q1 = np.zeros(e + 1, dtype=complex)
+    q1[e] = 1.0
+    q1[k1:e] = u[: e - k1]
     q2 = np.zeros(d + 1, dtype=complex)
     q2[d] = 1.0
-    q2[k2:d] = u[d - 1 - k1:]
+    q2[k2:d] = u[e - k1:]
     # q2(z0) = 0 pins the constant term.
     q2[0] = -P.polyval(chart.base_point, q2)
     return q1, q2
 
 
 def _pack(q1, q2, chart):
-    return np.concatenate([q1[chart.k1: chart.d - 1],
+    return np.concatenate([q1[chart.k1: chart.e],
                            q2[chart.k2: chart.d]]).astype(complex)
 
 
@@ -105,12 +113,21 @@ def pair_class(u, chart, ballot=""):
     return PairClass(q1=q1, q2=q2, chart=chart, ballot=ballot)
 
 
-def _wronski_tensor(d):
-    """T[m, a, b] = coefficient of z^m in W(z^a, z^b) = (b - a) z^(a+b-1)."""
-    m = np.arange(2 * d - 1)[:, None, None]
-    a = np.arange(d)[None, :, None]
-    b = np.arange(d + 1)[None, None, :]
-    return np.where(a + b - 1 == m, b - a, 0).astype(float)
+_TENSORS = {}
+
+
+def _wronski_tensor(d, e):
+    """T[m, a, b] = coefficient of z^m in W(z^a, z^b) = (b - a) z^(a+b-1)
+    for a <= e, b <= d; built once per degree pair and read-only."""
+    T = _TENSORS.get((d, e))
+    if T is None:
+        m = np.arange(d + e)[:, None, None]
+        a = np.arange(e + 1)[None, :, None]
+        b = np.arange(d + 1)[None, None, :]
+        T = np.where(a + b - 1 == m, b - a, 0).astype(float)
+        T.flags.writeable = False
+        _TENSORS[(d, e)] = T
+    return T
 
 
 def _lagrange_weights(rho):
@@ -137,14 +154,14 @@ def _lagrange_rows(u, chart, rho, weights):
     term from the pinned constant of q2; all of them, and W itself, come
     from one coefficient tensor and one Vandermonde product.
     """
-    d, k1, k2 = chart.d, chart.k1, chart.k2
+    d, e, k1, k2 = chart.d, chart.e, chart.k1, chart.k2
     k = k1 + k2 - 1
     q1, q2 = _unpack(u, chart)
-    T = _wronski_tensor(d)
+    T = _wronski_tensor(d, e)
     by_q1 = T @ q2                      # columns W(z^a, q2)
     by_q2 = q1 @ T                      # columns W(q1, z^b)
     w = by_q1 @ q1
-    if w[2 * d - 2] == 0:
+    if w[d + e - 1] == 0:
         raise ChartDegenerate("Wronskian lost its leading coefficient")
     by_q2 = by_q2 - np.power(chart.base_point, np.arange(d + 1)) \
         * by_q2[:, :1]
@@ -153,7 +170,7 @@ def _lagrange_rows(u, chart, rho, weights):
     n = body.size - 1
     dbody = np.append(body[1:] * np.arange(1, n + 1), 0.0)
     V = np.vander(rho, n + 1, increasing=True)
-    vals = V @ np.column_stack([body, dbody, by_q1[k:, k1: d - 1],
+    vals = V @ np.column_stack([body, dbody, by_q1[k:, k1:e],
                                 by_q2[k:, k2:d]]) / weights[:, None]
     # Evaluating W at clustered roots loses eps * sum |c_i rho^i| to
     # rounding; below that level the residual is pure noise and Newton
@@ -235,9 +252,9 @@ def to_chart(f1, f2, chart):
 
     Raises ChartDegenerate when the class has no representative with
     q2 monic of degree d vanishing at the base point and q1 monic of
-    degree d-1; that happens for finitely many base points per class.
+    degree e; that happens for finitely many base points per class.
     """
-    d = chart.d
+    d, e = chart.d, chart.e
     z0 = chart.base_point
     f1 = np.asarray(f1, dtype=complex)
     f2 = np.asarray(f2, dtype=complex)
@@ -254,20 +271,21 @@ def to_chart(f1, f2, chart):
             or abs(g2[d]) < 1e-9 * np.abs(g2).max():
         raise ChartDegenerate("no monic degree-d representative vanishes here")
     g2 = g2 / g2[d]
-    # Complementary element of degree exactly d-1.
+    # Complementary element of degree exactly e.
     h = a if abs(v1) <= abs(v2) else b
     g1 = h - h[d] * g2
-    if np.abs(g1[d:]).max(initial=0.0) > 1e-9 * np.abs(g1).max() \
-            or abs(g1[d - 1]) < 1e-9 * np.abs(g1).max():
-        raise ChartDegenerate("no monic degree-(d-1) complement here")
-    g1 = g1 / g1[d - 1]
-    return g1[:d], g2[: d + 1]
+    if np.abs(g1[e + 1:]).max(initial=0.0) > 1e-9 * np.abs(g1).max() \
+            or abs(g1[e]) < 1e-9 * np.abs(g1).max():
+        raise ChartDegenerate("no monic degree-e complement here")
+    g1 = g1 / g1[e]
+    return g1[: e + 1], g2[: d + 1]
 
 
 def _affine_into_unit(points):
-    """Order-preserving affine map with image inside (-0.95, -0.05)."""
+    """Order-preserving affine map with image inside [-0.95, -0.05]; a
+    single point goes to -0.95."""
     pmin, pmax = points.min(), points.max()
-    alpha = 0.9 / (pmax - pmin)
+    alpha = 0.9 / ((pmax - pmin) or 1.0)
     beta = -0.95 - alpha * pmin
     return alpha, beta
 
@@ -304,6 +322,7 @@ def build_branch(sigma, mapped, d, opts=TrackOptions(),
                  schedule=SeedSchedule()):
     """Construct the sigma-branch class with Wronskian roots at `mapped`.
 
+    The lower degree e is the number of letters 1 in the F-word sigma.
     Staged version of the thorn construction: after every F-operation the
     newborn root is immediately continued from its small birth position
     to the next prescribed root, inside the b(k1, k2) chart whose
@@ -315,7 +334,8 @@ def build_branch(sigma, mapped, d, opts=TrackOptions(),
     if mapped[-1] >= 0 or mapped[0] <= -1:
         raise ValueError("staged targets must lie in (-1, 0)")
     span = np.abs(mapped).max()
-    pair = initial_pair(d)
+    e = sigma.count("1")
+    pair = initial_pair(d, e)
     for m, ch in enumerate(sigma, start=1):
         a = schedule.ratio
         placed = mapped[: m - 1]
@@ -328,19 +348,19 @@ def build_branch(sigma, mapped, d, opts=TrackOptions(),
         else:
             raise ScheduleExhausted(
                 f"no valid birth parameter at step {m} of {sigma!r}")
-        chart = Chart(base_point=0.0, d=d, k1=cand.k1, k2=cand.k2)
+        chart = Chart(base_point=0.0, d=d, k1=cand.k1, k2=cand.k2, e=e)
         u = _track(_pack(cand.q1, cand.q2, chart), chart,
                    np.sort(born.real), mapped[:m], opts)
         q1, q2 = _unpack(u, chart)
         pair = CanonicalPair(d=d, k1=cand.k1, k2=cand.k2,
                              q1=q1, q2=q2, sigma=sigma[:m])
     return PairClass(q1=pair.q1.astype(complex), q2=pair.q2.astype(complex),
-                     chart=Chart(base_point=0.0, d=d), ballot=sigma)
+                     chart=Chart(base_point=0.0, d=d, e=e), ballot=sigma)
 
 
 def solve_branch(sigma, points, d, opts=TrackOptions(),
                  schedule=SeedSchedule()):
-    """Build one ballot branch and carry it to the given critical points."""
+    """Build one F-word branch and carry it to the given points."""
     points = np.sort(np.asarray(points, dtype=float))
     alpha, beta = _affine_into_unit(points)
     mapped = alpha * points + beta
@@ -349,34 +369,39 @@ def solve_branch(sigma, points, d, opts=TrackOptions(),
     # polynomials, which carries the Wronskian roots back onto points.
     f1 = poly.compose_affine(tracked.q1, alpha, beta)
     f2 = poly.compose_affine(tracked.q2, alpha, beta)
+    e = tracked.chart.e
     rng = np.random.default_rng(opts.rng_seed + 1)
     for attempt in range(50):
         z0 = 0.0 if attempt == 0 else rng.uniform(-3.0, 3.0)
         if np.abs(points - z0).min() < 1e-2:
             continue
         try:
-            g1, g2 = to_chart(f1, f2, Chart(base_point=z0, d=d))
-            pc = PairClass(q1=g1, q2=g2, chart=Chart(base_point=z0, d=d),
-                           ballot=sigma)
+            chart = Chart(base_point=z0, d=d, e=e)
+            g1, g2 = to_chart(f1, f2, chart)
+            pc = PairClass(q1=g1, q2=g2, chart=chart, ballot=sigma)
             return newton_polish(pc, points, opts)
         except (ChartDegenerate, NewtonDiverged, SingularJacobian):
             continue
     raise PathStuck(f"could not renormalize branch {sigma!r}")
 
 
-def solve_all(points, d, opts=TrackOptions(), schedule=SeedSchedule(),
-              jobs=1):
-    """All classes of degree-d rational functions critical exactly at points.
+def solve_all(points, d, e=None, opts=TrackOptions(),
+              schedule=SeedSchedule(), jobs=1):
+    """All classes of real pairs of degrees (e, d) whose Wronskian vanishes
+    exactly at the n = d+e-1 points; by default e = d-1, the classes of
+    degree-d rational functions critical exactly at points.
 
-    Returns catalan(d) pair classes sorted by ballot label; raises
-    CountMismatch if deduplication does not yield exactly that many.
+    Returns one class per F-word, C(n, e) - C(n, e-1) of them (catalan(d)
+    at the default), sorted by word; raises CountMismatch if deduplication
+    does not yield exactly that many.
     """
+    e = d - 1 if e is None else e
     points = np.asarray(points, dtype=float)
-    if points.size != 2 * d - 2:
-        raise ValueError(f"need {2 * d - 2} points for degree {d}")
+    if points.size != d + e - 1:
+        raise ValueError(f"need {d + e - 1} points for degree {d}")
     if np.unique(points).size != points.size:
         raise ValueError("points must be distinct")
-    sigmas = ballot_sequences(d)
+    sigmas = ballot_sequences(d, e)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -395,9 +420,9 @@ def solve_all(points, d, opts=TrackOptions(), schedule=SeedSchedule(),
             distinct.append(pc)
         else:
             logs.append(f"branch {pc.ballot} duplicates {dup.ballot}")
-    if len(distinct) != catalan(d):
+    if len(distinct) != len(sigmas):
         raise CountMismatch(
-            f"expected {catalan(d)} classes, got {len(distinct)}", logs)
+            f"expected {len(sigmas)} classes, got {len(distinct)}", logs)
     return sorted(distinct, key=lambda pc: pc.ballot)
 
 

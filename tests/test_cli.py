@@ -110,11 +110,30 @@ def test_deterministic_output():
 
 
 def test_env_seed_fallback():
-    _, direct = run_cli("bethe", "--points", "-1,1", "--starts", "500",
-                        "--seed", "9")
-    _, env = run_cli("bethe", "--points", "-1,1", "--starts", "500",
+    # 0 is one of the points, so the seed picks the polish chart base
+    _, direct = run_cli("solve", "--points", "-1,0,1,2", "--seed", "9")
+    _, env = run_cli("solve", "--points", "-1,0,1,2",
                      env={"WRONSKI_SEED": "9"})
+    _, seed0 = run_cli("solve", "--points", "-1,0,1,2", "--seed", "0")
     assert direct == env
+    assert direct != seed0
+
+
+@pytest.mark.parametrize("args", [
+    ("bethe", "--points", "-2,-1,0.5,2"),
+    ("equilibrium", "--points", "-2,-1,0.5,2", "--m", "2"),
+])
+def test_starts_is_ignored(args):
+    assert cli.run(list(args)) == cli.run([*args, "--starts", "500"])
+
+
+def test_single_point():
+    code, out = run_cli("bethe", "--points", "0.5")
+    assert code == 0
+    assert out == '{"a":[0.5],"command":"bethe","solutions":[{"degrees":' \
+        '[2,0],"qstar":0.0,"s":2,"x":[0.0]}]}\n'
+    code, _ = run_cli("equilibrium", "--points", "0.5", "--m", "0")
+    assert code == 0
 
 
 def test_json_file_output(tmp_path):

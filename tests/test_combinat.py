@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,15 @@ def test_ballot_sequences_counted_by_catalan():
         assert len(set(seqs)) == len(seqs)
         assert all(len(s) == 2 * d - 2 for s in seqs)
         assert all(combinat.is_ballot(s) for s in seqs)
+
+
+def test_words_counted_per_degree_pair():
+    for n in range(1, 11):
+        for e in range(n // 2 + 1):
+            words = combinat.ballot_sequences(n + 1 - e, e)
+            assert len(words) == comb(n, e) - (comb(n, e - 1) if e else 0)
+            assert len(set(words)) == len(words)
+            assert all(w.count("1") == e and len(w) == n for w in words)
 
 
 def test_is_ballot():

@@ -27,7 +27,7 @@ def test_energy_oracles():
 
 
 def test_solve_equilibrium_m1():
-    eqs = electro.solve_equilibrium([-1, 1], 1, budget=2000)
+    eqs = electro.solve_equilibrium([-1, 1], 1)
     assert len(eqs) == 1
     assert abs(eqs[0].mobile[0]) < 1e-10
 
@@ -85,7 +85,7 @@ def test_gradient_matches_residual():
 def test_equilibria_conjugation_closed_and_unstable():
     rng = np.random.default_rng(3)
     fixed = np.sort(rng.uniform(-3, 3, 4))
-    eqs = electro.solve_equilibrium(fixed, 2, budget=20000, seed=0)
+    eqs = electro.solve_equilibrium(fixed, 2)
     assert len(eqs) == 2
     for c in eqs:
         z = c.mobile
@@ -116,7 +116,7 @@ def _hessian(fixed, z, h=1e-5):
 def test_dictionary_with_bethe_solutions():
     rng = np.random.default_rng(3)
     a = np.sort(rng.uniform(-3, 3, 4))
-    for sol in fuchs.bethe_solve(a, budget=0):
+    for sol in fuchs.bethe_solve(a):
         lo, hi = fuchs.polynomial_solutions(a, sol.x)
         if poly.degree(lo) == 0:
             continue
@@ -131,7 +131,7 @@ def test_dictionary_with_bethe_solutions():
 def test_isolated_equilibria_newton_reconverges():
     rng = np.random.default_rng(3)
     a = np.sort(rng.uniform(-3, 3, 4))
-    eqs = electro.solve_equilibrium(a, 2, budget=4000, seed=0)
+    eqs = electro.solve_equilibrium(a, 2)
     for c in eqs:
         z = c.mobile + rng.normal(scale=1e-4, size=2) \
             + 1j * rng.normal(scale=1e-4, size=2)

@@ -1,7 +1,11 @@
+import json
+from collections import Counter
+from math import comb
+
 import numpy as np
 import pytest
 
-from wronski import fuchs, poly, tracker
+from wronski import cli, electro, fuchs, poly, tracker
 from wronski.errors import (DegeneratePair, DuplicatePoints,
                             NegativeDiscriminant, NotASolution, PathStuck)
 
@@ -57,7 +61,7 @@ def test_prop6_check_oracles():
 
 
 def test_bethe_solve_n2():
-    sols = fuchs.bethe_solve([-1, 1], budget=2000, seed=0)
+    sols = fuchs.bethe_solve([-1, 1])
     assert len(sols) == 2
     xs = {tuple(np.round(s.x, 8)) for s in sols}
     assert xs == {(-1.0, 1.0), (0.0, 0.0)}
@@ -74,26 +78,27 @@ def _raising(exc):
     return solve_all, calls
 
 
-def test_bethe_solve_survives_solver_failure(monkeypatch):
+def test_bethe_solve_propagates_solver_failure(monkeypatch):
     solve_all, calls = _raising(PathStuck("stuck"))
     monkeypatch.setattr(tracker, "solve_all", solve_all)
-    sols = fuchs.bethe_solve([-1, 1], budget=2000, seed=0)
+    with pytest.raises(PathStuck):
+        fuchs.bethe_solve([-1, 1])
     assert calls
-    xs = {tuple(np.round(s.x, 8)) for s in sols}
-    assert xs == {(-1.0, 1.0), (0.0, 0.0)}
+    code, text = cli.run(["bethe", "--points", "-1,1"])
+    assert code == 1 and json.loads(text)["kind"] == "PathStuck"
 
 
 def test_bethe_solve_propagates_bugs(monkeypatch):
     solve_all, _ = _raising(TypeError("bug"))
     monkeypatch.setattr(tracker, "solve_all", solve_all)
     with pytest.raises(TypeError):
-        fuchs.bethe_solve([-1, 1], budget=2000, seed=0)
+        fuchs.bethe_solve([-1, 1])
 
 
 def test_bethe_solve_n4_counts():
     rng = np.random.default_rng(3)
     a = np.sort(rng.uniform(-3, 3, 4))
-    sols = fuchs.bethe_solve(a, budget=40000, seed=0)
+    sols = fuchs.bethe_solve(a)
     assert sorted(s.s for s in sols) == [1, 1, 3, 3, 3, 5]
     for s in sols:
         assert np.abs(fuchs.bethe_residual(s.x, a)).max() <= 1e-9
@@ -101,6 +106,34 @@ def test_bethe_solve_n4_counts():
         assert (4 + s.s) % 2 == 1
         assert s.degrees[0] + s.degrees[1] == 5
         assert np.isrealobj(s.x)
+
+
+def _sector_size(n, e):
+    return comb(n, e) - (comb(n, e - 1) if e else 0)
+
+
+@pytest.mark.parametrize("a", [
+    np.sort(np.random.default_rng(21).uniform(-5, 5, 5)),
+    # two points 0.02 apart, as in the benchmark's close-pair corpus
+    np.array([-4.1, -2.3, -0.4, 1.2, 3.05, 3.07]),
+    np.sort(np.random.default_rng(23).uniform(-5, 5, 8)),
+], ids=["n5", "n6-close-pair", "n8"])
+def test_every_sector_bethe_and_equilibrium(a):
+    # sector e has lower degree e and s = n + 1 - 2e, and its equilibria
+    # have e mobile charges; n odd has no s = 1
+    n = a.size
+    sols = fuchs.bethe_solve(a)
+    assert Counter(s.s for s in sols) == {
+        n + 1 - 2 * e: _sector_size(n, e) for e in range(n // 2 + 1)}
+    for sol in sols:
+        assert sol.degrees == ((n + 1 + sol.s) // 2, (n + 1 - sol.s) // 2)
+        assert np.abs(fuchs.bethe_residual(sol.x, a)).max() <= 1e-9
+    for m in range(n // 2 + 1):
+        eqs = electro.solve_equilibrium(a, m)
+        assert len(eqs) == _sector_size(n, m)
+        for c in eqs:
+            assert np.abs(electro.equilibrium_residual(c)).max(initial=0.0) \
+                <= 1e-9
 
 
 def test_polynomial_solutions_oracles():
@@ -126,7 +159,7 @@ def test_round_trip_solver_to_fuchs():
 def test_degree_identities():
     rng = np.random.default_rng(5)
     a = np.sort(rng.uniform(-2, 2, 4))
-    for sol in fuchs.bethe_solve(a, budget=20000, seed=1):
+    for sol in fuchs.bethe_solve(a):
         lo, hi = fuchs.polynomial_solutions(a, sol.x)
         assert poly.degree(hi) - poly.degree(lo) == sol.s
         assert poly.degree(hi) + poly.degree(lo) == a.size + 1
@@ -150,7 +183,7 @@ def test_series_linear_coefficient_is_residue():
 def test_nullspace_dimension_iff_solution():
     rng = np.random.default_rng(7)
     a = np.sort(rng.uniform(-2, 2, 4))
-    sols = fuchs.bethe_solve(a, budget=20000, seed=0)
+    sols = fuchs.bethe_solve(a)
     hits = 0
     for sol in sols:
         fuchs.polynomial_solutions(a, sol.x)  # must not raise

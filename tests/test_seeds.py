@@ -11,6 +11,10 @@ def test_initial_pair():
     assert np.allclose(p.q1, [0, 0, 0, 1])
     assert np.allclose(p.q2, [0, 0, 0, 0, 1])
     assert p.order == 6  # Wronskian is a pure power of z
+    p = seeds.initial_pair(4, 1)
+    assert (p.k1, p.k2) == (1, 4)
+    assert np.allclose(p.q1, [0, 1])
+    assert p.order == 4
 
 
 def test_permitted_rule():

@@ -98,3 +98,10 @@ def test_solve_branch_order_matches_ballot_dictionary():
 def test_options_are_frozen_defaults():
     opts = TrackOptions()
     assert opts.newton_tol == 1e-12 and opts.dt_min > 0
+
+
+def test_wronski_tensor_cached_read_only():
+    T = tracker._wronski_tensor(4, 2)
+    assert tracker._wronski_tensor(4, 2) is T
+    assert not T.flags.writeable
+    assert T.shape == (6, 3, 5)
