@@ -15,7 +15,6 @@ import numpy as np
 from . import electro, fuchs, nets, poly, tracker
 from .combinat import catalan, kostka
 from .errors import WronskiError
-from .tracker import TrackOptions
 
 
 def _parse_points(text):
@@ -31,12 +30,6 @@ class SystemExit2(Exception):
     """Invalid input; maps to exit code 2."""
 
 
-def _seed(args):
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("WRONSKI_SEED", "0"))
-
-
 def _round(x):
     # fixed-precision serialization keeps equal runs byte-identical
     return float(f"{float(x):.12g}")
@@ -49,26 +42,25 @@ def _vec(v):
 def _class_doc(pc, points):
     points = np.sort(points)
     w_roots = np.sort(pc.wronskian_roots().real)
-    x = fuchs.residues((pc.q1.real, pc.q2.real), w_roots)
+    x = fuchs.residues((pc.q1, pc.q2), w_roots)
     _, _, s = fuchs.prop6_check(x, w_roots)
     net = nets.net_from_ballot(pc.ballot, w_roots)
     return {
         "ballot": pc.ballot,
         "chart_base": _round(pc.chart.base_point),
-        "q1_coeffs": _vec(pc.q1.real),
-        "q2_coeffs": _vec(pc.q2.real),
+        "q1_coeffs": _vec(pc.q1),
+        "q2_coeffs": _vec(pc.q2),
         "wronskian_roots": _vec(w_roots),
         "residues_x": _vec(x),
         "s": int(round(s)),
         "net_matching": sorted(list(p) for p in net.matching),
         "diagnostics": {
-            "max_imag": _round(pc.max_imag()),
             "residual": _round(np.abs(w_roots - points).max()),
         },
     }
 
 
-def _solve(points, d, seed, jobs):
+def _solve(points, d, jobs):
     if np.unique(points).size != points.size:
         raise SystemExit2("points must be distinct")
     if d is None:
@@ -77,8 +69,7 @@ def _solve(points, d, seed, jobs):
         d = points.size // 2 + 1
     if points.size != 2 * d - 2:
         raise SystemExit2(f"need {2 * d - 2} points for degree {d}")
-    opts = TrackOptions(rng_seed=seed)
-    return tracker.solve_all(points, d, opts=opts, jobs=jobs), d
+    return tracker.solve_all(points, d, jobs=jobs), d
 
 
 def cmd_count(args):
@@ -104,7 +95,7 @@ def cmd_kostka(args):
 def cmd_solve(args):
     if args.points is None:
         raise SystemExit2("solve requires --points")
-    classes, d = _solve(args.points, args.d, _seed(args), args.jobs)
+    classes, d = _solve(args.points, args.d, args.jobs)
     return {"command": "solve", "d": d, "points": _vec(np.sort(args.points)),
             "classes": [_class_doc(pc, args.points) for pc in classes]}
 
@@ -145,8 +136,8 @@ def cmd_equilibrium(args):
 def cmd_net(args):
     if args.points is None:
         raise SystemExit2("net requires --points")
-    classes, d = _solve(args.points, args.d, _seed(args), args.jobs)
-    traced = [nets.trace_net(pc.realified()) for pc in classes]
+    classes, d = _solve(args.points, args.d, args.jobs)
+    traced = [nets.trace_net(pc) for pc in classes]
     if args.svg:
         emit_svg(traced, args.svg)
     if args.csv:
@@ -161,18 +152,18 @@ def cmd_net(args):
 def cmd_verify(args):
     if args.points is None:
         raise SystemExit2("verify requires --points")
-    classes, d = _solve(args.points, args.d, _seed(args), args.jobs)
+    classes, d = _solve(args.points, args.d, args.jobs)
     pts = np.sort(args.points)
     max_res = 0.0
     round_trip = True
     for pc in classes:
         w_roots = np.sort(pc.wronskian_roots().real)
         max_res = max(max_res, float(np.abs(w_roots - pts).max()))
-        x = fuchs.residues((pc.q1.real, pc.q2.real), w_roots)
+        x = fuchs.residues((pc.q1, pc.q2), w_roots)
         lo, hi = fuchs.polynomial_solutions(w_roots, x)
         if not poly.span_equivalent((lo, hi), (pc.q1, pc.q2), tol=1e-6):
             round_trip = False
-    traced = [nets.trace_net(pc.realified()).matching for pc in classes]
+    traced = [nets.trace_net(pc).matching for pc in classes]
     distinct = len(set(traced)) == len(traced)
     ok = round_trip and distinct and max_res < 1e-8 * (1 + np.abs(pts).max())
     return {"command": "verify", "d": d, "points": _vec(pts),
@@ -254,9 +245,9 @@ def build_parser():
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--content", type=lambda s: tuple(
         int(t) for t in s.split(",") if t.strip()), default=None)
-    p.add_argument("--seed", type=int, default=None)
-    # Accepted and ignored, so that command lines that pass the budget of
-    # the former random multistart still run.
+    # Accepted and ignored, so that command lines written for the former
+    # random chart base (--seed) and random multistart (--starts) still run.
+    p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     p.add_argument("--starts", type=int, help=argparse.SUPPRESS)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", dest="json_path", default=None)

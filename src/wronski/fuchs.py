@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import poly
-from .errors import (DegeneratePair, DuplicatePoints, MultipleRoot,
-                     NegativeDiscriminant, NotASolution)
+from .errors import (DegeneratePair, DuplicatePoints, LengthMismatch,
+                     MultipleRoot, NegativeDiscriminant, NotASolution)
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,6 @@ class FuchsianData:
     C: np.ndarray
     a: np.ndarray
     x: np.ndarray
-    p_loc: np.ndarray
-    q_loc: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -59,15 +57,6 @@ def _simple_real_roots(A):
     return a
 
 
-def _local_coeffs(a, x):
-    n = a.size
-    diff = a[None, :] - a[:, None]          # diff[k, j] = a_j - a_k
-    np.fill_diagonal(diff, np.inf)
-    p_loc = (1.0 / diff).sum(axis=1)
-    q_loc = -(x[None, :] / diff).sum(axis=1)
-    return p_loc, q_loc
-
-
 def ode_from_pair(pair):
     """Second-order equation A y'' + B y' + C y = 0 satisfied by a pair."""
     y1, y2 = (poly.as_poly(p) for p in pair)
@@ -83,8 +72,7 @@ def ode_from_pair(pair):
     p_res = poly.polyval(B, a) / poly.polyval(Ap, a)
     if np.abs(p_res + 1.0).max(initial=0.0) > 1e-8:
         raise MultipleRoot("residues of B/A differ from -1")
-    p_loc, q_loc = _local_coeffs(a, x)
-    return FuchsianData(A=A, B=B, C=C, a=a, x=x, p_loc=p_loc, q_loc=q_loc)
+    return FuchsianData(A=A, B=B, C=C, a=a, x=x)
 
 
 def residues(pair, a):
@@ -101,7 +89,7 @@ def bethe_residual(x, a):
     x = np.asarray(x, dtype=float)
     a = np.asarray(a, dtype=float)
     if x.shape != a.shape:
-        raise DuplicatePoints("x and a must have the same length")
+        raise LengthMismatch("x and a must have the same length")
     if a.size > 1:
         aa = np.sort(a)
         if np.diff(aa).min() < 1e-12 * (1 + np.abs(a).max()):
@@ -160,7 +148,7 @@ def bethe_sector(a, e):
     for cls in tracker.solve_all(a, d, e):
         # + 0.0 turns the -0.0 of a zero residue over a negative A'(a_k)
         # into 0.0
-        x = _refine(residues((cls.q1.real, cls.q2.real), a), a) + 0.0
+        x = _refine(residues((cls.q1, cls.q2), a), a) + 0.0
         total, qstar, s = prop6_check(x, a)
         if np.abs(bethe_residual(x, a)).max() > 1e-9 or abs(total) > 1e-9 \
                 or abs(s - (d - e)) > 1e-6:

@@ -14,18 +14,12 @@ any special handling of poles of g along the curve.
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from . import poly
 from .combinat import ballot_to_matching, is_noncrossing
 from .errors import (IndexOutOfRange, LengthMismatch, NonRealInput,
                      TraceLost)
-
-# Vertex labelling of arcs relative to ballot positions, fixed once by
-# tracing every branch for d = 3 and d = 4 against ballot_to_matching
-# (see tests).  False = ballot position m maps to the m-th vertex from
-# the left; True = from the right.  The trace runs selected False.
-ORIENTATION_REVERSED = False
-
 
 @dataclass(frozen=True)
 class TraceOptions:
@@ -50,8 +44,8 @@ class Net:
 
 def _phi_and_gradient(q1, q2, dq1, dq2, z):
     """phi = Im(q1 conj(q2)) and its real gradient as a complex number."""
-    v1, v2 = poly.polyval(q1, z), poly.polyval(q2, z)
-    d1, d2 = poly.polyval(dq1, z), poly.polyval(dq2, z)
+    v1, v2 = P.polyval(z, q1), P.polyval(z, q2)
+    d1, d2 = P.polyval(z, dq1), P.polyval(z, dq2)
     phi = (v1 * np.conj(v2)).imag
     u = d1 * np.conj(v2)
     w = v1 * np.conj(d2)
@@ -121,9 +115,10 @@ def _trace_arc(q1, q2, start, vertices, opts, upward=True):
 
 def trace_net(pc, opts=TraceOptions(), upward=True):
     """Trace all upper-half-plane arcs of a real class."""
-    if pc.max_imag() > 1e-8:
+    coeffs = np.concatenate([pc.q1, pc.q2])
+    if np.abs(coeffs.imag).max() > 1e-8 * np.abs(coeffs).max():
         raise NonRealInput("coefficients must be real")
-    q1, q2 = pc.q1.real, pc.q2.real
+    q1, q2 = np.real(pc.q1), np.real(pc.q2)
     w = poly.wronskian(q1, q2)
     if poly.degree(w) != 2 * pc.d - 2:
         raise TraceLost("critical point at infinity")
@@ -155,15 +150,14 @@ def trace_net(pc, opts=TraceOptions(), upward=True):
 
 
 def net_from_ballot(sigma, vertices):
-    """Predicted net for a branch label, using the calibrated orientation."""
+    """Predicted net for a branch label: ballot position m is the m-th
+    vertex from the left, as tracing every branch for d = 3 and d = 4
+    confirms (see tests)."""
     vertices = tuple(np.sort(np.asarray(vertices, dtype=float)))
     if len(vertices) != len(sigma):
         raise LengthMismatch("one vertex per ballot position required")
-    n = len(sigma)
-    matching = ballot_to_matching(sigma)
-    if ORIENTATION_REVERSED:
-        matching = frozenset((n + 1 - b, n + 1 - a) for a, b in matching)
-    return Net(vertices=vertices, matching=matching, distinguished=n)
+    return Net(vertices=vertices, matching=ballot_to_matching(sigma),
+               distinguished=len(sigma))
 
 
 def degree_drop_edge(net, m):

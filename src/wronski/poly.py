@@ -115,8 +115,7 @@ def compose_affine(c, alpha, beta):
     a = as_poly(c)
     out = np.zeros(1, dtype=a.dtype)
     pw = np.ones(1, dtype=a.dtype)
-    lin = np.array([beta, alpha], dtype=complex if
-                   np.issubdtype(a.dtype, np.complexfloating) else float)
+    lin = np.array([beta, alpha], dtype=a.dtype)
     for ck in a:
         out = P.polyadd(out, ck * pw)
         pw = P.polymul(pw, lin)
@@ -136,11 +135,11 @@ def deflate(c, r):
 
 
 def _stack_coeffs(polys):
-    width = max(as_poly(p).size for p in polys)
-    m = np.zeros((len(polys), width), dtype=complex)
+    polys = [as_poly(p) for p in polys]
+    m = np.zeros((len(polys), max(p.size for p in polys)),
+                 dtype=np.result_type(*polys))
     for i, p in enumerate(polys):
-        a = as_poly(p)
-        m[i, : a.size] = a
+        m[i, : p.size] = p
     return m
 
 

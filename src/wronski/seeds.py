@@ -6,9 +6,9 @@ to q1 or q2 and so moves one Wronskian root off 0 to a small negative
 position.  F1 fires e times and F2 d-1 times, in the order of an F-word
 (combinat.ballot_sequences; a ballot sequence when e = d-1).  The search
 for a parameter a that gives a valid birth lives in tracker.build_branch:
-it shrinks a by SeedSchedule.ratio until the newborn root is simple, real
-and nearest zero, then continues it to its prescribed position before the
-next operation fires.
+it shrinks a by the factor tracker.BIRTH_RATIO until the newborn root is
+simple, real and nearest zero, then continues it to its prescribed
+position before the next operation fires.
 """
 
 from dataclasses import dataclass, replace
@@ -37,16 +37,6 @@ class CanonicalPair:
 
     def wronskian(self):
         return poly.wronskian(self.q1, self.q2)
-
-
-@dataclass(frozen=True)
-class SeedSchedule:
-    ratio: float = 0.05
-    max_retries: int = 40
-
-    def __post_init__(self):
-        if not 0 < self.ratio < 1:
-            raise ValueError("ratio must be in (0, 1)")
 
 
 def initial_pair(d, e=None):

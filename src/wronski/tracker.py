@@ -11,7 +11,8 @@ degree n-k, so the unknowns are fixed by asking it to vanish at as many
 prescribed real roots rho_j.  One Newton corrector solves that square
 system in Lagrange form, with rows W(rho_j) / (rho_j^k w'(rho_j) |rho_j|)
 for w = prod (z - rho_j), and one predictor-corrector loop moves the rho_j
-linearly.
+linearly.  Everything is real: the chart, the coefficients and the
+roots, since a class with real critical points is real.
 
 solve_all builds one branch per F-word of the degree pair (a ballot
 sequence when e = d-1, the rational functions of degree d) and carries
@@ -21,10 +22,11 @@ continued out to its prescribed position in the chart b(k1, k2) at 0
 before the next operation fires, so only one root is ever microscopic and
 each branch stays resolvable in double precision.  The finished branch
 is renormalized into the chart b(0, 1) at a base point away from the
-critical points and polished there by the same corrector.
+critical points, chosen by a fixed rule (solve_branch), and polished
+there by the same corrector.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -33,7 +35,14 @@ from . import poly
 from .combinat import ballot_sequences
 from .errors import (ChartDegenerate, CountMismatch, NewtonDiverged,
                      PathStuck, ScheduleExhausted, SingularJacobian)
-from .seeds import CanonicalPair, SeedSchedule, apply_F, initial_pair
+from .seeds import CanonicalPair, apply_F, initial_pair
+
+RESIDUAL_TOL = 1e-10    # Newton accepts rows below this or their noise floor
+MAX_NEWTON = 8          # Newton steps per point
+DT_INIT = 0.05          # first and largest homotopy step in t
+DT_MIN = 1e-9           # relative step size that counts as PathStuck
+BIRTH_RATIO = 0.05      # first birth parameter, and its shrink factor
+BIRTH_RETRIES = 40      # shrinks before ScheduleExhausted
 
 
 @dataclass(frozen=True)
@@ -50,15 +59,6 @@ class Chart:
     def __post_init__(self):
         if self.e is None:
             object.__setattr__(self, "e", self.d - 1)
-
-
-@dataclass(frozen=True)
-class TrackOptions:
-    newton_tol: float = 1e-12
-    max_newton: int = 8
-    dt_init: float = 0.05
-    dt_min: float = 1e-9
-    rng_seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -79,23 +79,14 @@ class PairClass:
     def wronskian_roots(self):
         return np.sort_complex(poly.roots(self.wronskian()))
 
-    def max_imag(self):
-        scale = max(np.abs(self.q1).max(), np.abs(self.q2).max())
-        im1 = np.abs(self.q1.imag).max() if np.iscomplexobj(self.q1) else 0.0
-        im2 = np.abs(self.q2.imag).max() if np.iscomplexobj(self.q2) else 0.0
-        return max(im1, im2) / scale
-
-    def realified(self):
-        return replace(self, q1=self.q1.real.copy(), q2=self.q2.real.copy())
-
 
 def _unpack(u, chart):
     """Chart coordinates -> (q1, q2) coefficient arrays."""
     d, e, k1, k2 = chart.d, chart.e, chart.k1, chart.k2
-    q1 = np.zeros(e + 1, dtype=complex)
+    q1 = np.zeros(e + 1)
     q1[e] = 1.0
     q1[k1:e] = u[: e - k1]
-    q2 = np.zeros(d + 1, dtype=complex)
+    q2 = np.zeros(d + 1)
     q2[d] = 1.0
     q2[k2:d] = u[e - k1:]
     # q2(z0) = 0 pins the constant term.
@@ -104,13 +95,7 @@ def _unpack(u, chart):
 
 
 def _pack(q1, q2, chart):
-    return np.concatenate([q1[chart.k1: chart.e],
-                           q2[chart.k2: chart.d]]).astype(complex)
-
-
-def pair_class(u, chart, ballot=""):
-    q1, q2 = _unpack(np.asarray(u, dtype=complex), chart)
-    return PairClass(q1=q1, q2=q2, chart=chart, ballot=ballot)
+    return np.concatenate([q1[chart.k1: chart.e], q2[chart.k2: chart.d]])
 
 
 _TENSORS = {}
@@ -140,8 +125,12 @@ def _lagrange_weights(rho):
     """
     diff = rho[:, None] - rho[None, :]
     np.fill_diagonal(diff, 1.0)
-    mags = np.abs(rho) + 1e-12 * (1.0 + np.abs(rho).max())
-    return diff.prod(axis=1) * mags
+    return diff.prod(axis=1) * _magnitudes(rho)
+
+
+def _magnitudes(rho):
+    """|rho_j|, kept 1e-12 of the target scale away from 0."""
+    return np.abs(rho) + 1e-12 * (1.0 + np.abs(rho).max())
 
 
 def _lagrange_rows(u, chart, rho, weights):
@@ -161,8 +150,6 @@ def _lagrange_rows(u, chart, rho, weights):
     by_q1 = T @ q2                      # columns W(z^a, q2)
     by_q2 = q1 @ T                      # columns W(q1, z^b)
     w = by_q1 @ q1
-    if w[d + e - 1] == 0:
-        raise ChartDegenerate("Wronskian lost its leading coefficient")
     by_q2 = by_q2 - np.power(chart.base_point, np.arange(d + 1)) \
         * by_q2[:, :1]
     # W / z^k is structurally exact: every dropped coefficient is zero.
@@ -172,23 +159,31 @@ def _lagrange_rows(u, chart, rho, weights):
     V = np.vander(rho, n + 1, increasing=True)
     vals = V @ np.column_stack([body, dbody, by_q1[k:, k1:e],
                                 by_q2[k:, k2:d]]) / weights[:, None]
-    # Evaluating W at clustered roots loses eps * sum |c_i rho^i| to
-    # rounding; below that level the residual is pure noise and Newton
-    # cannot be asked to go further.
-    floor = 50 * np.finfo(float).eps * (np.abs(V) @ np.abs(body)) \
-        / np.abs(weights)
+    # Evaluating W loses eps * sum |c_i rho^i| to rounding, where |c_i|
+    # bounds the terms that sum to the i-th coefficient; below that level
+    # the residual is pure noise and Newton cannot be asked to go further.
+    # The coefficients themselves would not do: at a root rho = 0 they give
+    # |W(0)|, which vanishes with the residual.
+    bound = (np.abs(T) @ np.abs(q2) @ np.abs(q1))[k:]
+    floor = 50 * np.finfo(float).eps * (np.abs(V) @ bound) / np.abs(weights)
     return vals[:, 0], vals[:, 1], vals[:, 2:], floor
 
 
-def _newton(u, chart, rho, opts):
-    """Newton-correct chart coordinates u onto Wronskian roots rho."""
+def _newton(u, chart, rho, cap=np.inf):
+    """Newton-correct chart coordinates u onto Wronskian roots rho.
+
+    A row is accepted below RESIDUAL_TOL, or below its noise floor where
+    that is at most cap.  Returns (u, dr, J): the corrected point with the
+    rho-derivative and Jacobian of its rows, from the evaluation that
+    accepted it.
+    """
     weights = _lagrange_weights(rho)
-    tol = opts.newton_tol * 100
-    for it in range(opts.max_newton + 1):
-        r, _, J, floor = _lagrange_rows(u, chart, rho, weights)
-        if np.all(np.abs(r) <= np.maximum(tol, floor)):
-            return u
-        if it < opts.max_newton:
+    for it in range(MAX_NEWTON + 1):
+        r, dr, J, floor = _lagrange_rows(u, chart, rho, weights)
+        if np.all(np.abs(r) <= np.maximum(RESIDUAL_TOL,
+                                          np.minimum(floor, cap))):
+            return u, dr, J
+        if it < MAX_NEWTON:
             u = u - _equilibrated_solve(J, r, u)
     raise NewtonDiverged("Newton did not converge")
 
@@ -213,38 +208,48 @@ def _equilibrated_solve(J, r, u):
     return np.linalg.solve(Js, r) / colnorm * colscale
 
 
-def _track(u, chart, start, end, opts):
+def _track(u, chart, start, end):
     """Linear root homotopy rho(t) = start + t (end - start) in one chart."""
     rates = end - start
-    t, dt = 0.0, opts.dt_init
+    t, dt = 0.0, DT_INIT
+    _, dr, J, _ = _lagrange_rows(u, chart, start, _lagrange_weights(start))
     while t < 1.0:
         step = min(dt, 1.0 - t)
-        rho_t = start + t * rates
         try:
-            # Euler predictor on the implicit system r(u, rho(t)) = 0.
-            _, dr, J, _ = _lagrange_rows(u, chart, rho_t,
-                                         _lagrange_weights(rho_t))
+            # Euler predictor on the implicit system r(u, rho(t)) = 0, from
+            # the rows that accepted u.
             du = _equilibrated_solve(J, -dr * rates, u) * step
-            u_next = _newton(u + du, chart, start + (t + step) * rates, opts)
+            u_next, dr_next, J_next = _newton(u + du, chart,
+                                              start + (t + step) * rates)
         except (NewtonDiverged, SingularJacobian, np.linalg.LinAlgError):
             dt = step / 2
             # Near t = 0 the newborn root is microscopic and legitimately
-            # needs steps below dt_min; the underflow trigger is relative
+            # needs steps below DT_MIN; the underflow trigger is relative
             # to the distance already travelled.
-            if dt < opts.dt_min * max(t, opts.dt_min):
+            if dt < DT_MIN * max(t, DT_MIN):
                 raise PathStuck("staged step size underflow")
             continue
-        u = u_next
+        u, dr, J = u_next, dr_next, J_next
         t += step
-        dt = min(2 * dt, opts.dt_init)
+        dt = min(2 * dt, DT_INIT)
     return u
 
 
-def newton_polish(pc, target_roots, opts=TrackOptions()):
-    """Newton-correct a pair class onto the given target critical points."""
+def newton_polish(pc, target_roots):
+    """Newton-correct a pair class onto the given target critical points.
+
+    The noise floor excuses a row only while the rounding it stands for
+    moves the root by less than half the gap to its nearest neighbour;
+    beyond that the chart cannot tell the class from the next one.  (The
+    staged stages need no cap: the birth after each checks its roots.)
+    """
     rho = np.sort(np.asarray(target_roots))
-    u = _newton(_pack(pc.q1, pc.q2, pc.chart), pc.chart, rho, opts)
-    return pair_class(u, pc.chart, pc.ballot)
+    gaps = np.diff(rho)
+    nearest = np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))
+    cap = 0.5 * nearest / _magnitudes(rho)
+    u, _, _ = _newton(_pack(pc.q1, pc.q2, pc.chart), pc.chart, rho, cap)
+    q1, q2 = _unpack(u, pc.chart)
+    return PairClass(q1=q1, q2=q2, chart=pc.chart, ballot=pc.ballot)
 
 
 def to_chart(f1, f2, chart):
@@ -256,13 +261,11 @@ def to_chart(f1, f2, chart):
     """
     d, e = chart.d, chart.e
     z0 = chart.base_point
-    f1 = np.asarray(f1, dtype=complex)
-    f2 = np.asarray(f2, dtype=complex)
-    width = max(f1.size, f2.size, d + 1)
-    a = np.zeros(width, dtype=complex)
-    b = np.zeros(width, dtype=complex)
-    a[: f1.size] = f1
-    b[: f2.size] = f2
+    width = max(len(f1), len(f2), d + 1)
+    a = np.zeros(width)
+    b = np.zeros(width)
+    a[: len(f1)] = f1
+    b[: len(f2)] = f2
     v1, v2 = P.polyval(z0, a), P.polyval(z0, b)
     # Combination vanishing at the base point.
     g2 = v2 * a - v1 * b
@@ -292,10 +295,7 @@ def _affine_into_unit(points):
 
 def _birth_roots(pair):
     """Roots of W(pair) / z^order, the ones away from 0, by real part."""
-    body = poly.wronskian(pair.q1.astype(complex),
-                          pair.q2.astype(complex))[pair.order:]
-    if body.size < 2:
-        return np.array([])
+    body = poly.wronskian(pair.q1, pair.q2)[pair.order:]
     r = np.roots(body[::-1])
     return r[np.argsort(r.real)]
 
@@ -318,8 +318,7 @@ def _birth_ok(roots_now, placed, span):
     return True
 
 
-def build_branch(sigma, mapped, d, opts=TrackOptions(),
-                 schedule=SeedSchedule()):
+def build_branch(sigma, mapped, d):
     """Construct the sigma-branch class with Wronskian roots at `mapped`.
 
     The lower degree e is the number of letters 1 in the F-word sigma.
@@ -337,56 +336,55 @@ def build_branch(sigma, mapped, d, opts=TrackOptions(),
     e = sigma.count("1")
     pair = initial_pair(d, e)
     for m, ch in enumerate(sigma, start=1):
-        a = schedule.ratio
+        a = BIRTH_RATIO
         placed = mapped[: m - 1]
-        for _ in range(schedule.max_retries):
+        for _ in range(BIRTH_RETRIES):
             cand = apply_F(int(ch), a, pair)
             born = _birth_roots(cand)
             if _birth_ok(born, placed, span):
                 break
-            a *= schedule.ratio
+            a *= BIRTH_RATIO
         else:
             raise ScheduleExhausted(
                 f"no valid birth parameter at step {m} of {sigma!r}")
         chart = Chart(base_point=0.0, d=d, k1=cand.k1, k2=cand.k2, e=e)
         u = _track(_pack(cand.q1, cand.q2, chart), chart,
-                   np.sort(born.real), mapped[:m], opts)
+                   np.sort(born.real), mapped[:m])
         q1, q2 = _unpack(u, chart)
         pair = CanonicalPair(d=d, k1=cand.k1, k2=cand.k2,
                              q1=q1, q2=q2, sigma=sigma[:m])
-    return PairClass(q1=pair.q1.astype(complex), q2=pair.q2.astype(complex),
+    return PairClass(q1=pair.q1, q2=pair.q2,
                      chart=Chart(base_point=0.0, d=d, e=e), ballot=sigma)
 
 
-def solve_branch(sigma, points, d, opts=TrackOptions(),
-                 schedule=SeedSchedule()):
+def solve_branch(sigma, points, d):
     """Build one F-word branch and carry it to the given points."""
     points = np.sort(np.asarray(points, dtype=float))
     alpha, beta = _affine_into_unit(points)
     mapped = alpha * points + beta
-    tracked = build_branch(sigma, mapped, d, opts, schedule)
+    tracked = build_branch(sigma, mapped, d)
     # Undo the affine map: substitute z -> alpha*z + beta in both
     # polynomials, which carries the Wronskian roots back onto points.
     f1 = poly.compose_affine(tracked.q1, alpha, beta)
     f2 = poly.compose_affine(tracked.q2, alpha, beta)
     e = tracked.chart.e
-    rng = np.random.default_rng(opts.rng_seed + 1)
-    for attempt in range(50):
-        z0 = 0.0 if attempt == 0 else rng.uniform(-3.0, 3.0)
+    # Polish chart bases, nearest 0 first: 0, then +-2^k / 16.  The pinned
+    # constant q2[0] = -sum q2[b] z0^b loses eps * sum |q2[b] z0^b|, which
+    # grows with |z0|.  A base within 1e-2 of a point is skipped.
+    for z0 in [0.0, *(s * 2.0 ** k / 16 for k in range(20) for s in (1, -1))]:
         if np.abs(points - z0).min() < 1e-2:
             continue
         try:
             chart = Chart(base_point=z0, d=d, e=e)
             g1, g2 = to_chart(f1, f2, chart)
             pc = PairClass(q1=g1, q2=g2, chart=chart, ballot=sigma)
-            return newton_polish(pc, points, opts)
+            return newton_polish(pc, points)
         except (ChartDegenerate, NewtonDiverged, SingularJacobian):
             continue
     raise PathStuck(f"could not renormalize branch {sigma!r}")
 
 
-def solve_all(points, d, e=None, opts=TrackOptions(),
-              schedule=SeedSchedule(), jobs=1):
+def solve_all(points, d, e=None, jobs=1):
     """All classes of real pairs of degrees (e, d) whose Wronskian vanishes
     exactly at the n = d+e-1 points; by default e = d-1, the classes of
     degree-d rational functions critical exactly at points.
@@ -405,12 +403,11 @@ def solve_all(points, d, e=None, opts=TrackOptions(),
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            classes = list(pool.map(_solve_branch_star,
-                                    [(s, points, d, opts, schedule)
-                                     for s in sigmas]))
+            classes = list(pool.map(solve_branch, sigmas,
+                                    [points] * len(sigmas),
+                                    [d] * len(sigmas)))
     else:
-        classes = [solve_branch(s, points, d, opts, schedule)
-                   for s in sigmas]
+        classes = [solve_branch(s, points, d) for s in sigmas]
     logs = []
     distinct = []
     for pc in classes:
@@ -424,7 +421,3 @@ def solve_all(points, d, e=None, opts=TrackOptions(),
         raise CountMismatch(
             f"expected {len(sigmas)} classes, got {len(distinct)}", logs)
     return sorted(distinct, key=lambda pc: pc.ballot)
-
-
-def _solve_branch_star(args):
-    return solve_branch(*args)

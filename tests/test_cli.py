@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
 from wronski import cli, tracker
@@ -43,7 +44,9 @@ def test_solve_closed_form():
     assert cls["wronskian_roots"] == [-1.0, 1.0]
     assert cls["residues_x"] == [-1.0, 1.0]
     assert cls["s"] == 1
-    assert cls["diagnostics"]["max_imag"] <= 1e-8
+    assert list(cls["diagnostics"]) == ["residual"]
+    pc, = tracker.solve_all([-1.0, 1.0], 2)
+    assert pc.q1.dtype == pc.q2.dtype == np.float64
 
 
 def test_solve_duplicate_points_exit2():
@@ -109,22 +112,23 @@ def test_deterministic_output():
     assert a == b
 
 
-def test_env_seed_fallback():
-    # 0 is one of the points, so the seed picks the polish chart base
-    _, direct = run_cli("solve", "--points", "-1,0,1,2", "--seed", "9")
-    _, env = run_cli("solve", "--points", "-1,0,1,2",
-                     env={"WRONSKI_SEED": "9"})
-    _, seed0 = run_cli("solve", "--points", "-1,0,1,2", "--seed", "0")
-    assert direct == env
-    assert direct != seed0
-
-
 @pytest.mark.parametrize("args", [
     ("bethe", "--points", "-2,-1,0.5,2"),
     ("equilibrium", "--points", "-2,-1,0.5,2", "--m", "2"),
+    # 0 is one of the points, so the polish chart base cannot be 0
+    ("solve", "--points", "-1,0,1,2"),
 ])
-def test_starts_is_ignored(args):
-    assert cli.run(list(args)) == cli.run([*args, "--starts", "500"])
+def test_starts_is_ignored(monkeypatch, args):
+    bare = cli.run(list(args))
+    assert bare[0] == 0
+    assert cli.run([*args, "--starts", "500"]) == bare
+    assert cli.run([*args, "--seed", "9"]) == bare
+    monkeypatch.setenv("WRONSKI_SEED", "9")
+    assert cli.run(list(args)) == bare
+    doc = json.loads(bare[1])
+    for cls in doc.get("classes", []):
+        assert np.abs(np.array(doc["points"]) - cls["chart_base"]).min() \
+            >= 1e-2
 
 
 def test_single_point():

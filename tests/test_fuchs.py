@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wronski import cli, electro, fuchs, poly, tracker
-from wronski.errors import (DegeneratePair, DuplicatePoints,
+from wronski.errors import (DegeneratePair, DuplicatePoints, LengthMismatch,
                             NegativeDiscriminant, NotASolution, PathStuck)
 
 Z = np.array([0.0, 1.0])
@@ -48,6 +48,8 @@ def test_bethe_residual_oracles():
     assert np.allclose(fuchs.bethe_residual([1, 1], [-1, 1]), [1, 1])
     with pytest.raises(DuplicatePoints):
         fuchs.bethe_residual([1, 1], [1, 1])
+    with pytest.raises(LengthMismatch):
+        fuchs.bethe_residual([1, 1, 1], [-1, 1])
 
 
 def test_prop6_check_oracles():
@@ -149,7 +151,7 @@ def test_polynomial_solutions_oracles():
 def test_round_trip_solver_to_fuchs():
     pts = np.array([-2.0, -0.7, 0.4, 1.5])
     for pc in tracker.solve_all(pts, 3):
-        x = fuchs.residues((pc.q1.real, pc.q2.real), pts)
+        x = fuchs.residues((pc.q1, pc.q2), pts)
         assert np.abs(fuchs.bethe_residual(fuchs._refine(x, pts), pts)).max() \
             <= 1e-8
         lo, hi = fuchs.polynomial_solutions(pts, x)

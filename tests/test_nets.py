@@ -22,7 +22,7 @@ def test_trace_simplest_net():
 def test_trace_d3_nets_distinct():
     pts = np.array([-2.0, -1.0, 1.0, 2.0])
     classes = tracker.solve_all(pts, 3)
-    matched = {nets.trace_net(pc.realified()).matching for pc in classes}
+    matched = {nets.trace_net(pc).matching for pc in classes}
     assert matched == {frozenset({(1, 4), (2, 3)}),
                        frozenset({(1, 2), (3, 4)})}
 
@@ -62,10 +62,9 @@ def test_orientation_calibration_regression():
     for d in (3, 4):
         pts = np.sort(rng.uniform(-3, 3, 2 * d - 2))
         for pc in tracker.solve_all(pts, d):
-            traced = nets.trace_net(pc.realified()).matching
+            traced = nets.trace_net(pc).matching
             predicted = nets.net_from_ballot(pc.ballot, pts).matching
             assert traced == predicted, pc.ballot
-    assert nets.ORIENTATION_REVERSED is False
 
 
 def test_traced_matchings_well_formed():
@@ -76,7 +75,7 @@ def test_traced_matchings_well_formed():
             classes = tracker.solve_all(pts, d)
             seen = set()
             for pc in classes:
-                m = nets.trace_net(pc.realified()).matching
+                m = nets.trace_net(pc).matching
                 assert len(m) == d - 1
                 assert all(a != b for a, b in m)
                 assert is_noncrossing(m)
@@ -94,15 +93,15 @@ def test_net_invariance_along_homotopy():
         for t in (0.0, 0.5, 1.0):
             pts = (1 - t) * p0 + t * p1
             pc = tracker.solve_branch(ballot, pts, 3)
-            matchings.add(nets.trace_net(pc.realified()).matching)
+            matchings.add(nets.trace_net(pc).matching)
         assert len(matchings) == 1
 
 
 def test_mirror_symmetry():
     pts = np.array([-2.0, -1.0, 1.0, 2.0])
     for pc in tracker.solve_all(pts, 3):
-        up = nets.trace_net(pc.realified(), upward=True)
-        down = nets.trace_net(pc.realified(), upward=False)
+        up = nets.trace_net(pc, upward=True)
+        down = nets.trace_net(pc, upward=False)
         assert up.matching == down.matching
         for key, arc in up.arcs.items():
             assert max(p.imag for p in arc) >= 0

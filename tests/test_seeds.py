@@ -46,8 +46,3 @@ def test_lowest_coeff_formula():
     k = p.order
     assert w[k] == pytest.approx(seeds.lowest_coeff(p))
     assert seeds.lowest_coeff(p) == pytest.approx((p.k2 - p.k1) * 1.0 * 0.3)
-
-
-def test_schedule_validation():
-    with pytest.raises(ValueError):
-        seeds.SeedSchedule(ratio=1.5)
