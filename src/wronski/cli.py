@@ -60,7 +60,7 @@ def _class_doc(pc, points):
     }
 
 
-def _solve(points, d, jobs):
+def _solve(points, d):
     if np.unique(points).size != points.size:
         raise SystemExit2("points must be distinct")
     if d is None:
@@ -69,7 +69,7 @@ def _solve(points, d, jobs):
         d = points.size // 2 + 1
     if points.size != 2 * d - 2:
         raise SystemExit2(f"need {2 * d - 2} points for degree {d}")
-    return tracker.solve_all(points, d, jobs=jobs), d
+    return tracker.solve_all(points, d), d
 
 
 def cmd_count(args):
@@ -95,7 +95,7 @@ def cmd_kostka(args):
 def cmd_solve(args):
     if args.points is None:
         raise SystemExit2("solve requires --points")
-    classes, d = _solve(args.points, args.d, args.jobs)
+    classes, d = _solve(args.points, args.d)
     return {"command": "solve", "d": d, "points": _vec(np.sort(args.points)),
             "classes": [_class_doc(pc, args.points) for pc in classes]}
 
@@ -136,7 +136,7 @@ def cmd_equilibrium(args):
 def cmd_net(args):
     if args.points is None:
         raise SystemExit2("net requires --points")
-    classes, d = _solve(args.points, args.d, args.jobs)
+    classes, d = _solve(args.points, args.d)
     traced = [nets.trace_net(pc) for pc in classes]
     if args.svg:
         emit_svg(traced, args.svg)
@@ -152,7 +152,7 @@ def cmd_net(args):
 def cmd_verify(args):
     if args.points is None:
         raise SystemExit2("verify requires --points")
-    classes, d = _solve(args.points, args.d, args.jobs)
+    classes, d = _solve(args.points, args.d)
     pts = np.sort(args.points)
     max_res = 0.0
     round_trip = True
@@ -246,10 +246,11 @@ def build_parser():
     p.add_argument("--content", type=lambda s: tuple(
         int(t) for t in s.split(",") if t.strip()), default=None)
     # Accepted and ignored, so that command lines written for the former
-    # random chart base (--seed) and random multistart (--starts) still run.
+    # random chart base (--seed), random multistart (--starts) and
+    # per-branch worker processes (--jobs) still run.
     p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     p.add_argument("--starts", type=int, help=argparse.SUPPRESS)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     p.add_argument("--json", dest="json_path", default=None)
     p.add_argument("--svg", default=None)
     p.add_argument("--csv", default=None)

@@ -14,12 +14,11 @@ any special handling of poles of g along the curve.
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from . import poly
 from .combinat import ballot_to_matching, is_noncrossing
 from .errors import (IndexOutOfRange, LengthMismatch, NonRealInput,
-                     TraceLost)
+                     TraceLost, ZeroPolynomial)
 
 @dataclass(frozen=True)
 class TraceOptions:
@@ -42,26 +41,37 @@ class Net:
     arcs: dict = field(default_factory=dict, compare=False)
 
 
-def _phi_and_gradient(q1, q2, dq1, dq2, z):
-    """phi = Im(q1 conj(q2)) and its real gradient as a complex number."""
-    v1, v2 = P.polyval(z, q1), P.polyval(z, q2)
-    d1, d2 = P.polyval(z, dq1), P.polyval(z, dq2)
-    phi = (v1 * np.conj(v2)).imag
-    u = d1 * np.conj(v2)
-    w = v1 * np.conj(d2)
+def _horner(c, z):
+    """c[0] + c[1] z + ... by Horner's rule; c is a tuple of floats and z a
+    Python complex, so that every operation stays a scalar one."""
+    acc = c[-1] + z * 0
+    for ck in c[-2::-1]:
+        acc = ck + acc * z
+    return acc
+
+
+def _phi_and_gradient(polys, z):
+    """phi = Im(q1 conj(q2)) and its real gradient as a complex number;
+    polys = (q1, q2, q1', q2') as float tuples."""
+    v1, v2, d1, d2 = (_horner(c, z) for c in polys)
+    phi = (v1 * v2.conjugate()).imag
+    u = d1 * v2.conjugate()
+    w = v1 * d2.conjugate()
     gx = (u + w).imag
     gy = (u - w).real
     return phi, gx + 1j * gy
 
 
-def _correct(q1, q2, dq1, dq2, z, scale):
+def _correct(polys, z, scale):
     """Newton steps transverse to the level curve phi = 0."""
     for _ in range(12):
-        phi, grad = _phi_and_gradient(q1, q2, dq1, dq2, z)
+        phi, grad = _phi_and_gradient(polys, z)
         g2 = grad.real ** 2 + grad.imag ** 2
         if g2 == 0.0:
             break
-        dz = phi * grad / g2
+        # Complex by real as NumPy divides: times the reciprocal, which
+        # the traced polylines are reproducible against.
+        dz = phi * grad * (1.0 / g2)
         z = z - dz
         if abs(dz) < 1e-14 * scale:
             break
@@ -71,35 +81,37 @@ def _correct(q1, q2, dq1, dq2, z, scale):
 def _trace_arc(q1, q2, start, vertices, opts, upward=True):
     """Follow the level curve leaving `start` vertically, return
     (endpoint vertex index, polyline)."""
-    dq1, dq2 = poly.derivative(q1), poly.derivative(q2)
-    scale = 1 + np.abs(vertices).max()
+    polys = tuple(tuple(float(c) for c in p) for p in
+                  (q1, q2, poly.derivative(q1), poly.derivative(q2)))
+    scale = float(1 + np.abs(vertices).max())
     R = 10.0 * scale
     sign = 1.0 if upward else -1.0
     delta = 1e-7 * scale
+    start = float(start)
     z = start + sign * 1j * delta
-    pts = [complex(start), complex(z)]
+    pts = [complex(start), z]
     tangent_prev = sign * 1j
     h = opts.step * scale
     min_h = 1e-7 * scale
     launched = False
     for _ in range(opts.max_steps):
-        _, grad = _phi_and_gradient(q1, q2, dq1, dq2, z)
+        _, grad = _phi_and_gradient(polys, z)
         if grad == 0.0:
             raise TraceLost("level curve tangent vanished")
         t = (-grad.imag + 1j * grad.real)
-        t = t / abs(t)
-        if (t * np.conj(tangent_prev)).real < 0:
+        t = t * (1.0 / abs(t))          # as in _correct
+        if (t * tangent_prev.conjugate()).real < 0:
             t = -t
-        dist = np.abs(z - vertices).min()
+        dist = float(np.abs(z - vertices).min())
         step = min(h, max(0.25 * dist, min_h))
-        z_new = _correct(q1, q2, dq1, dq2, z + step * t, scale)
+        z_new = _correct(polys, z + step * t, scale)
         # reject correction blow-ups by halving the step
         while abs(z_new - z) > 3 * step and step > min_h:
             step *= opts.shrink
-            z_new = _correct(q1, q2, dq1, dq2, z + step * t, scale)
+            z_new = _correct(polys, z + step * t, scale)
         tangent_prev = t
         z = z_new
-        pts.append(complex(z))
+        pts.append(z)
         if abs(z) > R:
             raise TraceLost("curve left the bounding box")
         if not launched:
@@ -124,7 +136,7 @@ def trace_net(pc, opts=TraceOptions(), upward=True):
         raise TraceLost("critical point at infinity")
     try:
         vertices = np.sort(poly.real_roots(w))
-    except Exception:
+    except ZeroPolynomial:
         raise NonRealInput("critical points must be real and distinct")
     if vertices.size != 2 * pc.d - 2:
         raise NonRealInput("critical points must be real and distinct")

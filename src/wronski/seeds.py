@@ -5,10 +5,12 @@ under the permission rule, adds one positive low-order term a*z^{k_i - 1}
 to q1 or q2 and so moves one Wronskian root off 0 to a small negative
 position.  F1 fires e times and F2 d-1 times, in the order of an F-word
 (combinat.ballot_sequences; a ballot sequence when e = d-1).  The search
-for a parameter a that gives a valid birth lives in tracker.build_branch:
+for a parameter a that gives a valid birth lives in tracker._birth, which
+tracker._build_trie calls once per node of the trie of F-word prefixes:
 it shrinks a by the factor tracker.BIRTH_RATIO until the newborn root is
-simple, real and nearest zero, then continues it to its prescribed
-position before the next operation fires.
+simple, real and nearest zero.  The trie then continues the newborn root
+to its prescribed position, for all nodes of one depth together, before
+the next operation fires.
 """
 
 from dataclasses import dataclass, replace

@@ -14,19 +14,29 @@ for w = prod (z - rho_j), and one predictor-corrector loop moves the rho_j
 linearly.  Everything is real: the chart, the coefficients and the
 roots, since a class with real critical points is real.
 
-solve_all builds one branch per F-word of the degree pair (a ballot
+solve_all builds one class per F-word of the degree pair (a ballot
 sequence when e = d-1, the rational functions of degree d) and carries
-each to the n requested points, returning every class.  Branch
-construction is staged: every F-operation's newborn Wronskian root is
-continued out to its prescribed position in the chart b(k1, k2) at 0
-before the next operation fires, so only one root is ever microscopic and
-each branch stays resolvable in double precision.  The finished branch
+each to the n requested points.  Construction is staged: every
+F-operation's newborn Wronskian root is continued out to its prescribed
+position in the chart b(k1, k2) at 0 before the next operation fires, so
+only one root is ever microscopic and each class stays resolvable in
+double precision.  A stage's birth and its targets depend only on the
+word's prefix, so the stages form a trie: one node per prefix, born once
+and shared by every word through it.  All nodes of one depth m have m
+unknowns and the same targets, and differ only in which coefficients are
+unknown and in where the newborn root starts; they advance in lockstep
+(_Lockstep), each with its own t, step size and Newton count, while every
+evaluation of the rows, condition estimate and linear solve is one
+stacked NumPy call for the whole depth.  A node's arithmetic and its
+decisions are those it would make alone, so build_branch, the one-word
+trie, gives each word the class solve_all gives it.  Each finished word
 is renormalized into the chart b(0, 1) at a base point away from the
-critical points, chosen by a fixed rule (solve_branch), and polished
-there by the same corrector.
+critical points, chosen by a fixed rule, and polished there by the same
+corrector (_polish).
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -44,6 +54,9 @@ DT_MIN = 1e-9           # relative step size that counts as PathStuck
 BIRTH_RATIO = 0.05      # first birth parameter, and its shrink factor
 BIRTH_RETRIES = 40      # shrinks before ScheduleExhausted
 
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
 
 @dataclass(frozen=True)
 class Chart:
@@ -59,6 +72,12 @@ class Chart:
     def __post_init__(self):
         if self.e is None:
             object.__setattr__(self, "e", self.d - 1)
+
+    def unknowns(self):
+        """Positions of the chart coordinates in the concatenated
+        coefficients (q1 | q2)."""
+        return np.concatenate([np.arange(self.k1, self.e),
+                               self.e + 1 + np.arange(self.k2, self.d)])
 
 
 @dataclass(frozen=True)
@@ -80,159 +99,333 @@ class PairClass:
         return np.sort_complex(poly.roots(self.wronskian()))
 
 
+def _coefficients(U, pos, d, e, z0):
+    """Stacked chart coordinates -> (q1, q2) coefficient stacks, for
+    charts at one base point z0 whose unknowns sit at positions pos
+    (Chart.unknowns) of (q1 | q2)."""
+    N, width = U.shape[0], d + e + 2
+    c = np.zeros((N, width))
+    c[:, e] = 1.0
+    c[:, -1] = 1.0
+    c.reshape(-1)[pos + width * np.arange(N)[:, None]] = U
+    q1, q2 = c[:, :e + 1], c[:, e + 1:]
+    # q2(z0) = 0 pins the constant term; Horner's rule, as polyval.
+    acc = q2[:, d] + z0 * 0
+    for b in range(d - 1, -1, -1):
+        acc = q2[:, b] + acc * z0
+    q2[:, 0] = -acc
+    return q1, q2
+
+
 def _unpack(u, chart):
     """Chart coordinates -> (q1, q2) coefficient arrays."""
-    d, e, k1, k2 = chart.d, chart.e, chart.k1, chart.k2
-    q1 = np.zeros(e + 1)
-    q1[e] = 1.0
-    q1[k1:e] = u[: e - k1]
-    q2 = np.zeros(d + 1)
-    q2[d] = 1.0
-    q2[k2:d] = u[e - k1:]
-    # q2(z0) = 0 pins the constant term.
-    q2[0] = -P.polyval(chart.base_point, q2)
-    return q1, q2
+    q1, q2 = _coefficients(u[None], chart.unknowns()[None], chart.d,
+                           chart.e, chart.base_point)
+    return q1[0], q2[0]
 
 
 def _pack(q1, q2, chart):
     return np.concatenate([q1[chart.k1: chart.e], q2[chart.k2: chart.d]])
 
 
-_TENSORS = {}
-
-
+@cache
 def _wronski_tensor(d, e):
     """T[m, a, b] = coefficient of z^m in W(z^a, z^b) = (b - a) z^(a+b-1)
     for a <= e, b <= d; built once per degree pair and read-only."""
-    T = _TENSORS.get((d, e))
-    if T is None:
-        m = np.arange(d + e)[:, None, None]
-        a = np.arange(e + 1)[None, :, None]
-        b = np.arange(d + 1)[None, None, :]
-        T = np.where(a + b - 1 == m, b - a, 0).astype(float)
-        T.flags.writeable = False
-        _TENSORS[(d, e)] = T
+    m = np.arange(d + e)[:, None, None]
+    a = np.arange(e + 1)[None, :, None]
+    b = np.arange(d + 1)[None, None, :]
+    T = np.where(a + b - 1 == m, b - a, 0).astype(float)
+    T.flags.writeable = False
     return T
 
 
+@cache
+def _wronski_terms(d, e):
+    """T has at most one nonzero entry along each of its last two axes, at
+    a + b = m + 1.  Returns (B, TB, A, TA): that entry's position and value,
+    so that T @ q2 = TB * q2[B] and q1 @ T = TA * q1[A] with every
+    coefficient of either a single product."""
+    T = _wronski_tensor(d, e)
+    B = np.abs(T).argmax(axis=2)
+    A = np.abs(T).argmax(axis=1)
+    terms = (B, np.take_along_axis(T, B[..., None], axis=2)[..., 0],
+             A, np.take_along_axis(T, A[:, None, :], axis=1)[:, 0])
+    for t in terms:
+        t.flags.writeable = False
+    return terms
+
+
 def _lagrange_weights(rho):
-    """Row scales w'(rho_j) * |rho_j| for w = prod (z - rho_k).
+    """Row scales w'(rho_j) * |rho_j| for w = prod (z - rho_k), along the
+    last axis of rho.
 
     Dividing W(u)(rho_j) by w'(rho_j) measures the displacement of the
     j-th Wronskian root; the extra |rho_j| factor makes it a relative
     displacement, which is what keeps the exponentially small thorn roots
     (and with them the branch identity) resolvable in double precision.
     """
-    diff = rho[:, None] - rho[None, :]
-    np.fill_diagonal(diff, 1.0)
-    return diff.prod(axis=1) * _magnitudes(rho)
+    m = rho.shape[-1]
+    diff = rho[..., :, None] - rho[..., None, :]
+    diff.reshape(-1, m * m)[:, ::m + 1] = 1.0
+    return diff.prod(axis=-1) * _magnitudes(rho)
 
 
 def _magnitudes(rho):
     """|rho_j|, kept 1e-12 of the target scale away from 0."""
-    return np.abs(rho) + 1e-12 * (1.0 + np.abs(rho).max())
+    size = np.abs(rho)
+    return size + 1e-12 * (1.0 + size.max(axis=-1, keepdims=True))
 
 
-def _lagrange_rows(u, chart, rho, weights):
-    """The chart's square system in Lagrange form, evaluated at rho.
+def _stacked_rows(U, pos, d, e, z0, rho, weights):
+    """The square systems of a stack of charts in Lagrange form.
 
-    Returns (r, dr, J, floor): the rows r_j = (W / z^k)(rho_j) / weights_j,
-    their derivatives in rho_j, their Jacobian in the chart coordinates,
-    and their noise floor.  By bilinearity the derivative in q1[a] is
+    All charts share the degrees, the base point z0 and the number m of
+    unknowns; row i of U holds the coordinates of chart i, whose unknowns
+    sit at positions pos[i] of (q1 | q2).  Returns (r, dr, J, floor),
+    stacked: the rows r_j = (W / z^k)(rho_j) / weights_j, their
+    derivatives in rho_j, their Jacobian in the chart coordinates, and
+    their noise floor.  By bilinearity the derivative in q1[a] is
     W(z^a, q2) and in q2[b] it is W(q1, z^b) - z0^b W(q1, 1), the second
     term from the pinned constant of q2; all of them, and W itself, come
-    from one coefficient tensor and one Vandermonde product.
+    from the coefficient tensor (_wronski_terms) and one Vandermonde
+    product.
     """
-    d, e, k1, k2 = chart.d, chart.e, chart.k1, chart.k2
-    k = k1 + k2 - 1
-    q1, q2 = _unpack(u, chart)
-    T = _wronski_tensor(d, e)
-    by_q1 = T @ q2                      # columns W(z^a, q2)
-    by_q2 = q1 @ T                      # columns W(q1, z^b)
-    w = by_q1 @ q1
-    by_q2 = by_q2 - np.power(chart.base_point, np.arange(d + 1)) \
-        * by_q2[:, :1]
+    N, m = U.shape
+    k = d + e - 1 - m
+    width = d + e + 2
+    q1, q2 = _coefficients(U, pos, d, e, z0)
+    B, TB, A, TA = _wronski_terms(d, e)
+    by_q1 = TB * np.take(q2, B, axis=1)     # columns W(z^a, q2)
+    by_q2 = TA * np.take(q1, A, axis=1)     # columns W(q1, z^b)
+    w = (by_q1 @ q1[:, :, None])[..., 0]
     # W / z^k is structurally exact: every dropped coefficient is zero.
-    body = w[k:]
-    n = body.size - 1
-    dbody = np.append(body[1:] * np.arange(1, n + 1), 0.0)
-    V = np.vander(rho, n + 1, increasing=True)
-    vals = V @ np.column_stack([body, dbody, by_q1[k:, k1:e],
-                                by_q2[k:, k2:d]]) / weights[:, None]
+    body = w[:, k:]
+    both = np.empty((N, m + 1, width))
+    both[..., :e + 1] = by_q1[:, k:]
+    both[..., e + 1:] = by_q2[:, k:] \
+        - np.power(z0, np.arange(d + 1)) * by_q2[:, k:, :1]
+    V = np.empty((N, m, m + 1))
+    V[..., 0] = 1.0
+    V[..., 1:] = rho[..., None]
+    np.multiply.accumulate(V[..., 1:], out=V[..., 1:], axis=-1)
+    cols = np.empty((N, m + 1, m + 2))
+    cols[:, :, 0] = body
+    cols[:, :-1, 1] = body[:, 1:] * np.arange(1, m + 1)
+    cols[:, -1, 1] = 0.0
+    cols[:, :, 2:] = both.reshape(N, -1)[
+        np.arange(N)[:, None, None],
+        pos[:, None, :] + width * np.arange(m + 1)[:, None]]
+    vals = V @ cols / weights[..., None]
     # Evaluating W loses eps * sum |c_i rho^i| to rounding, where |c_i|
     # bounds the terms that sum to the i-th coefficient; below that level
     # the residual is pure noise and Newton cannot be asked to go further.
     # The coefficients themselves would not do: at a root rho = 0 they give
     # |W(0)|, which vanishes with the residual.
-    bound = (np.abs(T) @ np.abs(q2) @ np.abs(q1))[k:]
-    floor = 50 * np.finfo(float).eps * (np.abs(V) @ bound) / np.abs(weights)
-    return vals[:, 0], vals[:, 1], vals[:, 2:], floor
+    bound = (np.abs(by_q1) @ np.abs(q1)[:, :, None])[:, k:]
+    floor = 50 * _EPS * (np.abs(V) @ bound)[..., 0] / np.abs(weights)
+    return vals[..., 0], vals[..., 1], vals[..., 2:], floor
+
+
+def _lagrange_rows(u, chart, rho, weights):
+    """_stacked_rows for one chart: (r, dr, J, floor) at rho."""
+    rows = _stacked_rows(u[None], chart.unknowns()[None], chart.d, chart.e,
+                         chart.base_point, rho[None], weights[None])
+    return tuple(a[0] for a in rows)
+
+
+def _equilibrated_solves(J, r, U):
+    """Solve the stacked systems J x = r with columns scaled by coefficient
+    magnitude; returns (x, ok).
+
+    Near the thorn the unknowns span many orders of magnitude; scaling by
+    |u_i| makes the solve (and its condition estimate) act on relative
+    coefficient changes, which is the well-conditioned formulation there.
+    A system with a zero or non-finite column or a condition estimate
+    above 1e12 is singular: its ok is False and its x is meaningless.  It
+    enters the stacked SVD and solve as the identity, since either call
+    raises for the whole stack on one matrix it rejects; should LAPACK
+    still reject one, the systems are solved one by one.
+    """
+    magnitude = np.abs(U)
+    umax = magnitude.max(axis=1, keepdims=True)
+    colscale = magnitude + 1e-14 * np.where(umax > 0, umax, 1.0)
+    Js = J * colscale[:, None, :]
+    colnorm = np.abs(Js).max(axis=1)
+    ok = np.all((colnorm > 0) & (colnorm < np.inf), axis=1)
+    if not ok.all():
+        colnorm[~ok] = 1.0
+        Js[~ok] = np.eye(U.shape[1])
+    Js /= colnorm[:, None, :]
+    try:
+        s = np.linalg.svd(Js, compute_uv=False)
+        # The smallest singular value is kept off 0, so that an exactly
+        # singular matrix fails the test without a division by zero.
+        conditioned = s[:, 0] / np.maximum(s[:, -1], _TINY) <= 1e12
+        if not conditioned.all():
+            ok &= conditioned
+            Js[~ok] = np.eye(U.shape[1])
+        x = np.linalg.solve(Js, r[..., None])[..., 0] / colnorm * colscale
+    except np.linalg.LinAlgError:
+        if U.shape[0] == 1:
+            return np.full(U.shape, np.nan), np.zeros(1, dtype=bool)
+        x, ok = zip(*(_equilibrated_solves(J[i:i + 1], r[i:i + 1],
+                                           U[i:i + 1])
+                      for i in range(U.shape[0])))
+        return np.concatenate(x), np.concatenate(ok)
+    return x, ok
 
 
 def _newton(u, chart, rho, cap=np.inf):
     """Newton-correct chart coordinates u onto Wronskian roots rho.
 
     A row is accepted below RESIDUAL_TOL, or below its noise floor where
-    that is at most cap.  Returns (u, dr, J): the corrected point with the
-    rho-derivative and Jacobian of its rows, from the evaluation that
-    accepted it.
+    that is at most cap.
     """
     weights = _lagrange_weights(rho)
     for it in range(MAX_NEWTON + 1):
-        r, dr, J, floor = _lagrange_rows(u, chart, rho, weights)
+        r, _, J, floor = _lagrange_rows(u, chart, rho, weights)
         if np.all(np.abs(r) <= np.maximum(RESIDUAL_TOL,
                                           np.minimum(floor, cap))):
-            return u, dr, J
+            return u
         if it < MAX_NEWTON:
-            u = u - _equilibrated_solve(J, r, u)
+            x, ok = _equilibrated_solves(J[None], r[None], u[None])
+            if not ok[0]:
+                raise SingularJacobian("Jacobian singular or its condition "
+                                       "estimate above 1e12")
+            u = u - x[0]
     raise NewtonDiverged("Newton did not converge")
 
 
-def _equilibrated_solve(J, r, u):
-    """Solve J x = r with columns scaled by coefficient magnitude.
+class _Lockstep:
+    """Charts of one trie depth, each tracked along its linear root
+    homotopy rho_i(t) = start_i + t (end - start_i) at base point 0.
 
-    Near the thorn the unknowns span many orders of magnitude; scaling by
-    |u_i| makes the solve (and its condition estimate) act on relative
-    coefficient changes, which is the well-conditioned formulation there.
+    Every node runs the predictor-corrector of a single path: from the
+    rows that accepted u, an Euler predictor to t + step, then up to
+    MAX_NEWTON Newton steps on rho(t + step); a singular solve or a Newton
+    miss halves the node's step and retries from u, an acceptance doubles
+    it up to DT_INIT.  The node's pending solve is x = J^-1 r from base,
+    giving the next iterate v = base + coef * x: the predictor has
+    coef = step and r = -dr (end - start), a Newton step coef = -1.
+
+    A tick evaluates the rows of every node, accepts or corrects the
+    fresh iterates among them, then makes every node's pending solve:
+    each as one stacked call, with per-node masks choosing what each node
+    keeps.  A node leaves the stack when it arrives at t = 1 or is stuck.
     """
-    umax = np.abs(u).max()
-    colscale = np.abs(u) + 1e-14 * (umax if umax > 0 else 1.0)
-    Js = J * colscale[None, :]
-    colnorm = np.abs(Js).max(axis=0)
-    if np.any(colnorm == 0):
-        raise SingularJacobian("Jacobian has a zero column")
-    Js = Js / colnorm[None, :]
-    s = np.linalg.svd(Js, compute_uv=False)
-    if s[-1] == 0 or s[0] / s[-1] > 1e12:
-        raise SingularJacobian("Jacobian condition estimate above 1e12")
-    return np.linalg.solve(Js, r) / colnorm * colscale
 
+    _STATE = ("node", "pos", "start", "rates", "u", "v", "t", "dt", "step",
+              "it", "fresh", "J_u", "r_u", "J", "r", "base", "coef", "rho",
+              "weights")
 
-def _track(u, chart, start, end):
-    """Linear root homotopy rho(t) = start + t (end - start) in one chart."""
-    rates = end - start
-    t, dt = 0.0, DT_INIT
-    _, dr, J, _ = _lagrange_rows(u, chart, start, _lagrange_weights(start))
-    while t < 1.0:
-        step = min(dt, 1.0 - t)
-        try:
-            # Euler predictor on the implicit system r(u, rho(t)) = 0, from
-            # the rows that accepted u.
-            du = _equilibrated_solve(J, -dr * rates, u) * step
-            u_next, dr_next, J_next = _newton(u + du, chart,
-                                              start + (t + step) * rates)
-        except (NewtonDiverged, SingularJacobian, np.linalg.LinAlgError):
-            dt = step / 2
-            # Near t = 0 the newborn root is microscopic and legitimately
-            # needs steps below DT_MIN; the underflow trigger is relative
-            # to the distance already travelled.
-            if dt < DT_MIN * max(t, DT_MIN):
-                raise PathStuck("staged step size underflow")
-            continue
-        u, dr, J = u_next, dr_next, J_next
-        t += step
-        dt = min(2 * dt, DT_INIT)
-    return u
+    def __init__(self, U, pos, d, e, starts, end):
+        N = U.shape[0]
+        self.d, self.e = d, e
+        self.final = U.copy()
+        self.stuck = np.zeros(N, dtype=bool)
+        self.node = np.arange(N)
+        self.pos, self.start, self.rates = pos, starts, end - starts
+        self.u, self.v = U.copy(), U.copy()     # accepted point, iterate
+        self.t = np.zeros(N)
+        self.dt = np.full(N, DT_INIT)
+        self.step = np.zeros(N)
+        self.it = np.zeros(N, dtype=int)        # Newton steps towards v
+        self.fresh = np.zeros(N, dtype=bool)    # v awaits its rows
+        # The predictor system of the accepted point, and the pending one.
+        _, dr, self.J_u, _ = _stacked_rows(U, pos, d, e, 0.0, starts,
+                                           _lagrange_weights(starts))
+        self.r_u = -dr * self.rates
+        self.J, self.r, self.base = self.J_u, self.r_u, self.u
+        self.coef = np.zeros(N)
+        self.rho, self.weights = starts, np.ones_like(starts)
+        self._predict(np.ones(N, dtype=bool))
+
+    def run(self):
+        """Track every node to t = 1 or until it is stuck; returns the
+        final points and the stuck mask."""
+        while self.node.size:
+            self.tick()
+        return self.final, self.stuck
+
+    def tick(self):
+        if self.fresh.any():
+            self._correct()
+        if self.node.size:
+            x, ok = _equilibrated_solves(self.J, self.r, self.base)
+            self.v = np.where(ok[:, None],
+                              self.base + x * self.coef[:, None], self.v)
+            self.it = self.it + ok
+            self.fresh = ok
+            self._leave(self._halve(~ok))
+
+    def _predict(self, mask):
+        """Queue the Euler predictor from the accepted point u."""
+        if not mask.any():
+            return
+        m1, m2 = mask[:, None], mask[:, None, None]
+        self.step = np.where(mask, np.minimum(self.dt, 1.0 - self.t),
+                             self.step)
+        self.J = np.where(m2, self.J_u, self.J)
+        self.r = np.where(m1, self.r_u, self.r)
+        self.base = np.where(m1, self.u, self.base)
+        self.coef = np.where(mask, self.step, self.coef)
+        self.it = np.where(mask, -1, self.it)
+        rho = self.start + (self.t + self.step)[:, None] * self.rates
+        self.rho = np.where(m1, rho, self.rho)
+        self.weights = np.where(m1, _lagrange_weights(self.rho),
+                                self.weights)
+
+    def _correct(self):
+        """Rows at the fresh iterates: accept, or queue a Newton step, or
+        give up on this step after MAX_NEWTON of them."""
+        r, dr, J, floor = _stacked_rows(self.v, self.pos, self.d, self.e,
+                                        0.0, self.rho, self.weights)
+        conv = np.all(np.abs(r) <= np.maximum(RESIDUAL_TOL, floor), axis=1)
+        acc = self.fresh & conv
+        newton = self.fresh & ~conv & (self.it < MAX_NEWTON)
+        missed = self.fresh & ~conv & (self.it >= MAX_NEWTON)
+        self.fresh = np.zeros_like(self.fresh)
+        if acc.any():
+            a1 = acc[:, None]
+            self.u = np.where(a1, self.v, self.u)
+            self.J_u = np.where(acc[:, None, None], J, self.J_u)
+            self.r_u = np.where(a1, -dr * self.rates, self.r_u)
+            self.t = np.where(acc, self.t + self.step, self.t)
+            self.dt = np.where(acc, np.minimum(2 * self.dt, DT_INIT),
+                               self.dt)
+        if newton.any():
+            n1 = newton[:, None]
+            self.J = np.where(newton[:, None, None], J, self.J)
+            self.r = np.where(n1, r, self.r)
+            self.base = np.where(n1, self.v, self.base)
+            self.coef = np.where(newton, -1.0, self.coef)
+        stuck = self._halve(missed)
+        self._predict(acc)
+        self._leave(stuck | (acc & (self.t >= 1.0)))
+
+    def _halve(self, mask):
+        """A failed step: retry from u with half of it.  Returns the
+        nodes whose step underflowed, now stuck."""
+        if not mask.any():
+            return mask
+        self.dt = np.where(mask, self.step / 2, self.dt)
+        self._predict(mask)
+        # Near t = 0 the newborn root is microscopic and legitimately
+        # needs steps below DT_MIN; the underflow trigger is relative to
+        # the distance already travelled.
+        stuck = mask & (self.dt < DT_MIN * np.maximum(self.t, DT_MIN))
+        self.stuck[self.node[stuck]] = True
+        return stuck
+
+    def _leave(self, mask):
+        """Take the arrived or stuck nodes out of the stack."""
+        if not mask.any():
+            return
+        self.final[self.node[mask]] = self.u[mask]
+        keep = ~mask
+        for name in self._STATE:
+            setattr(self, name, getattr(self, name)[keep])
 
 
 def newton_polish(pc, target_roots):
@@ -247,7 +440,7 @@ def newton_polish(pc, target_roots):
     gaps = np.diff(rho)
     nearest = np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))
     cap = 0.5 * nearest / _magnitudes(rho)
-    u, _, _ = _newton(_pack(pc.q1, pc.q2, pc.chart), pc.chart, rho, cap)
+    u = _newton(_pack(pc.q1, pc.q2, pc.chart), pc.chart, rho, cap)
     q1, q2 = _unpack(u, pc.chart)
     return PairClass(q1=q1, q2=q2, chart=pc.chart, ballot=pc.ballot)
 
@@ -294,8 +487,17 @@ def _affine_into_unit(points):
 
 
 def _birth_roots(pair):
-    """Roots of W(pair) / z^order, the ones away from 0, by real part."""
-    body = poly.wronskian(pair.q1, pair.q2)[pair.order:]
+    """Roots of W(pair) / z^order, the ones away from 0, by real part.
+
+    W is poly.wronskian's q1 q2' - q1' q2, term for term; a canonical
+    pair's leading coefficients are nonzero, so none of its general-input
+    trimming applies.
+    """
+    q1, q2 = pair.q1, pair.q2
+    w = np.convolve(q1, q2[1:] * np.arange(1, q2.size))
+    if q1.size > 1:
+        w = w - np.convolve(q1[1:] * np.arange(1, q1.size), q2)
+    body = poly.normalize(w)[pair.order:]
     r = np.roots(body[::-1])
     return r[np.argsort(r.real)]
 
@@ -318,56 +520,108 @@ def _birth_ok(roots_now, placed, span):
     return True
 
 
+def _birth(ch, pair, placed, span):
+    """Fire F^ch on a tracked pair with the first parameter in the
+    schedule BIRTH_RATIO^j that gives a valid birth; returns the new pair
+    and its Wronskian roots away from 0, or None when none does."""
+    a = BIRTH_RATIO
+    for _ in range(BIRTH_RETRIES):
+        cand = apply_F(int(ch), a, pair)
+        born = _birth_roots(cand)
+        if _birth_ok(born, placed, span):
+            return cand, np.sort(born.real)
+        a *= BIRTH_RATIO
+    return None
+
+
+def _build_trie(sigmas, mapped, d, e):
+    """Build the classes of the F-words sigmas with Wronskian roots at
+    `mapped`, one trie node per prefix, depth by depth.
+
+    Returns the classes, in the chart b(0, 1) at 0, of the words before
+    the first word whose build fails, followed by that word's error if
+    there is one; later words are not built.
+    """
+    span = np.abs(mapped).max()
+    first = {}                  # prefix -> index of the first word with it
+    for i, s in enumerate(sigmas):
+        for m in range(len(s) + 1):
+            first.setdefault(s[:m], i)
+    level = {"": initial_pair(d, e)}    # tracked nodes of the last depth
+    failed = {}                         # prefix -> error class
+    cutoff = len(sigmas)                # index of the first failing word
+    for m in range(1, d + e):
+        born = []
+        for p in sorted({s[:m] for s in sigmas[:cutoff]}, key=first.get):
+            birth = _birth(p[-1], level[p[:-1]], mapped[:m - 1], span)
+            if birth is None:
+                failed[p] = ScheduleExhausted
+                cutoff = first[p]
+                break
+            born.append((p, *birth))
+        if not born:
+            break
+        charts = [Chart(base_point=0.0, d=d, k1=c.k1, k2=c.k2, e=e)
+                  for _, c, _ in born]
+        pos = np.array([c.unknowns() for c in charts])
+        U = np.array([_pack(c.q1, c.q2, ch) for (_, c, _), ch
+                      in zip(born, charts)])
+        starts = np.array([roots for _, _, roots in born])
+        U, stuck = _Lockstep(U, pos, d, e, starts, mapped[:m]).run()
+        level = {}
+        for (p, c, _), q1, q2, bad in zip(born, *_coefficients(U, pos, d, e,
+                                                               0.0), stuck):
+            if bad:
+                failed[p] = PathStuck
+                cutoff = min(cutoff, first[p])
+            else:
+                level[p] = CanonicalPair(d=d, k1=c.k1, k2=c.k2, q1=q1.copy(),
+                                         q2=q2.copy(), sigma=p)
+    built = [PairClass(q1=level[s].q1, q2=level[s].q2,
+                       chart=Chart(base_point=0.0, d=d, e=e), ballot=s)
+             for s in sigmas[:cutoff]]
+    if cutoff < len(sigmas):
+        s = sigmas[cutoff]
+        p = next(s[:m] for m in range(1, len(s) + 1) if s[:m] in failed)
+        built.append(
+            ScheduleExhausted(
+                f"no valid birth parameter at step {len(p)} of {s!r}")
+            if failed[p] is ScheduleExhausted
+            else PathStuck("staged step size underflow"))
+    return built
+
+
 def build_branch(sigma, mapped, d):
     """Construct the sigma-branch class with Wronskian roots at `mapped`.
 
     The lower degree e is the number of letters 1 in the F-word sigma.
-    Staged version of the thorn construction: after every F-operation the
-    newborn root is immediately continued from its small birth position
-    to the next prescribed root, inside the b(k1, k2) chart whose
-    vanishing pattern pins the remaining root multiplicity at 0.  Only one
-    root is ever microscopic, which keeps every branch resolvable in
-    double precision.
+    The one-word trie of _build_trie: after every F-operation the newborn
+    root is immediately continued from its small birth position to the
+    next prescribed root, inside the b(k1, k2) chart whose vanishing
+    pattern pins the remaining root multiplicity at 0.
     """
+    mapped = _staged_targets(mapped)
+    built, = _build_trie([sigma], mapped, d, sigma.count("1"))
+    if isinstance(built, Exception):
+        raise built
+    return built
+
+
+def _staged_targets(mapped):
     mapped = np.sort(np.asarray(mapped, dtype=float))
     if mapped[-1] >= 0 or mapped[0] <= -1:
         raise ValueError("staged targets must lie in (-1, 0)")
-    span = np.abs(mapped).max()
-    e = sigma.count("1")
-    pair = initial_pair(d, e)
-    for m, ch in enumerate(sigma, start=1):
-        a = BIRTH_RATIO
-        placed = mapped[: m - 1]
-        for _ in range(BIRTH_RETRIES):
-            cand = apply_F(int(ch), a, pair)
-            born = _birth_roots(cand)
-            if _birth_ok(born, placed, span):
-                break
-            a *= BIRTH_RATIO
-        else:
-            raise ScheduleExhausted(
-                f"no valid birth parameter at step {m} of {sigma!r}")
-        chart = Chart(base_point=0.0, d=d, k1=cand.k1, k2=cand.k2, e=e)
-        u = _track(_pack(cand.q1, cand.q2, chart), chart,
-                   np.sort(born.real), mapped[:m])
-        q1, q2 = _unpack(u, chart)
-        pair = CanonicalPair(d=d, k1=cand.k1, k2=cand.k2,
-                             q1=q1, q2=q2, sigma=sigma[:m])
-    return PairClass(q1=pair.q1, q2=pair.q2,
-                     chart=Chart(base_point=0.0, d=d, e=e), ballot=sigma)
+    return mapped
 
 
-def solve_branch(sigma, points, d):
-    """Build one F-word branch and carry it to the given points."""
-    points = np.sort(np.asarray(points, dtype=float))
-    alpha, beta = _affine_into_unit(points)
-    mapped = alpha * points + beta
-    tracked = build_branch(sigma, mapped, d)
+def _polish(tracked, points, alpha, beta):
+    """Carry a class built at alpha*points + beta back onto the points and
+    polish it in the chart b(0, 1) at the first base point that works."""
     # Undo the affine map: substitute z -> alpha*z + beta in both
     # polynomials, which carries the Wronskian roots back onto points.
     f1 = poly.compose_affine(tracked.q1, alpha, beta)
     f2 = poly.compose_affine(tracked.q2, alpha, beta)
-    e = tracked.chart.e
+    d, e, sigma = tracked.chart.d, tracked.chart.e, tracked.ballot
     # Polish chart bases, nearest 0 first: 0, then +-2^k / 16.  The pinned
     # constant q2[0] = -sum q2[b] z0^b loses eps * sum |q2[b] z0^b|, which
     # grows with |z0|.  A base within 1e-2 of a point is skipped.
@@ -384,14 +638,24 @@ def solve_branch(sigma, points, d):
     raise PathStuck(f"could not renormalize branch {sigma!r}")
 
 
-def solve_all(points, d, e=None, jobs=1):
+def solve_branch(sigma, points, d):
+    """Build one F-word branch and carry it to the given points."""
+    points = np.sort(np.asarray(points, dtype=float))
+    alpha, beta = _affine_into_unit(points)
+    tracked = build_branch(sigma, alpha * points + beta, d)
+    return _polish(tracked, points, alpha, beta)
+
+
+def solve_all(points, d, e=None):
     """All classes of real pairs of degrees (e, d) whose Wronskian vanishes
     exactly at the n = d+e-1 points; by default e = d-1, the classes of
     degree-d rational functions critical exactly at points.
 
     Returns one class per F-word, C(n, e) - C(n, e-1) of them (catalan(d)
     at the default), sorted by word; raises CountMismatch if deduplication
-    does not yield exactly that many.
+    does not yield exactly that many.  The words are built together on
+    their trie and polished one by one; the first word, in order, whose
+    build or polish fails raises its error.
     """
     e = d - 1 if e is None else e
     points = np.asarray(points, dtype=float)
@@ -400,14 +664,14 @@ def solve_all(points, d, e=None, jobs=1):
     if np.unique(points).size != points.size:
         raise ValueError("points must be distinct")
     sigmas = ballot_sequences(d, e)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            classes = list(pool.map(solve_branch, sigmas,
-                                    [points] * len(sigmas),
-                                    [d] * len(sigmas)))
-    else:
-        classes = [solve_branch(s, points, d) for s in sigmas]
+    points = np.sort(points)
+    alpha, beta = _affine_into_unit(points)
+    built = _build_trie(sigmas, _staged_targets(alpha * points + beta), d, e)
+    classes = []
+    for tracked in built:
+        if isinstance(tracked, Exception):
+            raise tracked
+        classes.append(_polish(tracked, points, alpha, beta))
     logs = []
     distinct = []
     for pc in classes:

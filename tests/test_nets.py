@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wronski import nets, tracker
+from wronski import nets, poly, tracker
 from wronski.combinat import ballot_to_matching, catalan, is_noncrossing
 from wronski.errors import IndexOutOfRange, LengthMismatch, NonRealInput
 
@@ -30,6 +30,17 @@ def test_trace_d3_nets_distinct():
 def test_trace_rejects_nonreal():
     with pytest.raises(NonRealInput):
         nets.trace_net(_pc([1j, 1], [1, 0, 1], 2))
+
+
+def test_trace_propagates_programming_errors(monkeypatch):
+    # Only a failed reality check means non-real critical points; any other
+    # error from the root finder is a bug and must surface as itself.
+    def broken(c):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(poly, "real_roots", broken)
+    with pytest.raises(TypeError):
+        nets.trace_net(_pc([0, 1], [1, 0, 1], 2))
 
 
 def test_net_from_ballot_oracles():

@@ -4,6 +4,7 @@ import pytest
 from wronski import poly, tracker
 from wronski.combinat import ballot_sequences, catalan
 from wronski.errors import ChartDegenerate
+from wronski.seeds import initial_pair
 from wronski.tracker import Chart, PairClass
 
 
@@ -77,14 +78,105 @@ def test_build_branch_staged_roots():
         assert pc.chart.base_point == 0.0
 
 
-def test_solve_all_parallel_jobs_match_serial():
-    pts = np.array([-2.0, -1.0, 1.0, 2.0])
-    serial = tracker.solve_all(pts, 3, jobs=1)
-    parallel = tracker.solve_all(pts, 3, jobs=2)
-    assert len(serial) == len(parallel)
-    for a, b in zip(serial, parallel):
-        assert a.ballot == b.ballot
-        assert poly.span_equivalent((a.q1, a.q2), (b.q1, b.q2), tol=1e-8)
+def _uniform_points(rng, n):
+    return -5.0 + 10.0 * (np.arange(n) + rng.uniform(0.15, 0.85, n)) / n
+
+
+@pytest.mark.parametrize("d, e", [(4, 3), (5, 4), (5, 2)])
+def test_solve_branch_matches_solve_all(d, e):
+    # build_branch is the one-word trie: every word gets the class that the
+    # lockstep build of all words gives it.
+    pts = _uniform_points(np.random.default_rng(d + 10 * e), d + e - 1)
+    classes = tracker.solve_all(pts, d, e)
+    assert [pc.ballot for pc in classes] == ballot_sequences(d, e)
+    for pc in classes:
+        alone = tracker.solve_branch(pc.ballot, pts, d)
+        assert alone.chart == pc.chart
+        for a, b in ((alone.q1, pc.q1), (alone.q2, pc.q2)):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("d, e, nodes", [(4, 3, 21), (5, 4, 63), (5, 2, 39)])
+def test_one_birth_per_trie_node(monkeypatch, d, e, nodes):
+    words = ballot_sequences(d, e)
+    prefixes = {w[:m] for w in words for m in range(1, len(w) + 1)}
+    assert len(prefixes) == nodes
+    births = []
+    birth_ok = tracker._birth_ok
+
+    def counted(*args):
+        ok = birth_ok(*args)
+        births.append(ok)
+        return ok
+
+    monkeypatch.setattr(tracker, "_birth_ok", counted)
+    tracker.solve_all(_uniform_points(np.random.default_rng(1), d + e - 1),
+                      d, e)
+    assert sum(births) == nodes
+
+
+def _first_stage_stack(n):
+    """A lockstep stack of n copies of the first stage of d = 3."""
+    mapped = np.array([-0.9, -0.6, -0.3, -0.1])
+    cand, start = tracker._birth("1", initial_pair(3), mapped[:0], 0.9)
+    chart = Chart(base_point=0.0, d=3, k1=cand.k1, k2=cand.k2)
+    u = tracker._pack(cand.q1, cand.q2, chart)
+    return tracker._Lockstep(np.tile(u, (n, 1)),
+                             np.tile(chart.unknowns(), (n, 1)), 3, 2,
+                             np.tile(start, (n, 1)), mapped[:1])
+
+
+def test_lockstep_singular_node_halves_only_its_own_step():
+    alone, _ = _first_stage_stack(1).run()
+    lock = _first_stage_stack(3)
+    lock.J_u[1] = 0.0               # node 1's predictor system is singular
+    lock.J[1] = 0.0
+    lock.tick()
+    assert list(lock.dt) == [tracker.DT_INIT, tracker.DT_INIT / 2,
+                             tracker.DT_INIT]
+    assert list(lock.fresh) == [True, False, True]
+    final, stuck = lock.run()
+    assert list(stuck) == [False, True, False]
+    assert np.array_equal(final[[0, 2]], np.tile(alone[0], (2, 1)))
+
+
+def test_lockstep_node_stuck_in_newton_leaves_the_stack():
+    alone, _ = _first_stage_stack(1).run()
+    lock = _first_stage_stack(3)
+    lock.tick()                     # every predictor lands
+    assert lock.fresh.all()
+    lock.v[1] += 1.0                # node 1 misses its last Newton step
+    lock.it[1] = tracker.MAX_NEWTON
+    lock.step[1] = 1e-20            # and halving it underflows
+    lock.tick()
+    assert list(lock.node) == [0, 2]
+    final, stuck = lock.run()
+    assert list(stuck) == [False, True, False]
+    assert np.array_equal(final[[0, 2]], np.tile(alone[0], (2, 1)))
+
+
+def test_stacked_solves_fall_back_one_by_one(monkeypatch):
+    # A stacked LAPACK call that raises for the whole stack is redone one
+    # system at a time, with the same results.
+    rng = np.random.default_rng(4)
+    J = rng.normal(size=(3, 4, 4))
+    J[1, :, 2] = 0.0                # singular: a zero column
+    r = rng.normal(size=(3, 4))
+    U = rng.normal(size=(3, 4))
+    alone = [tracker._equilibrated_solves(J[i:i + 1], r[i:i + 1], U[i:i + 1])
+             for i in range(3)]
+    svd = np.linalg.svd
+
+    def one_at_a_time(a, **kwargs):
+        if len(a) > 1:
+            raise np.linalg.LinAlgError("stack")
+        return svd(a, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", one_at_a_time)
+    x, ok = tracker._equilibrated_solves(J, r, U)
+    assert list(ok) == [True, False, True]
+    for i in (0, 2):
+        assert np.array_equal(x[i], alone[i][0][0])
 
 
 def test_solve_branch_order_matches_ballot_dictionary():
