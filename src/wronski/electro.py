@@ -12,15 +12,16 @@ and the equilibrium condition for charge k reads
 
 Equilibria coincide with root sets of the lower-degree polynomial
 solutions of the associated second order equation: solve_equilibrium
-takes the Bethe sector whose lower degree is m (fuchs.bethe_sector) and
-returns the roots of each solution's lower polynomial.
+takes the classes of degrees (m, n + 1 - m) with Wronskian roots at the
+fixed charges (tracker.solve_all) and returns the roots of each class's
+q1, the span's unique monic element of degree m.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import fuchs, poly
+from . import poly, tracker
 from .errors import Collision, NonzeroResidue, NotASolution, SharedRoot
 
 
@@ -135,16 +136,15 @@ def solve_equilibrium(fixed, m):
     if m == 0:
         return [ChargeConfig(fixed=fixed, mobile=np.zeros(0, complex))]
     out = []
-    for sol in fuchs.bethe_sector(fixed, m):
-        lo, _ = fuchs.polynomial_solutions(fixed, sol.x)
-        z = poly.roots(lo).astype(complex)
+    for cls in tracker.solve_all(fixed, n + 1 - m, m):
+        z = poly.roots(cls.q1).astype(complex)
         try:
             z = _canonical(_refine(z, fixed))
             ok = z.size == m and _isolated_equilibrium(fixed, z)
         except (Collision, np.linalg.LinAlgError):
             ok = False
         if not ok:
-            raise NotASolution(f"sector e={m}, word {sol.word}: roots are "
+            raise NotASolution(f"sector e={m}, word {cls.ballot}: roots are "
                                "not an isolated equilibrium")
         out.append(ChargeConfig(fixed=fixed, mobile=z))
     out.sort(key=lambda c: tuple((v.real, v.imag) for v in c.mobile))

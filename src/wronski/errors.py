@@ -47,10 +47,6 @@ class NewtonDiverged(WronskiError):
     numerical = True
 
 
-class SingularJacobian(WronskiError):
-    numerical = True
-
-
 class PathStuck(WronskiError):
     numerical = True
 

@@ -42,7 +42,6 @@ class BetheSolution:
     s: int
     qstar: float
     degrees: tuple
-    word: str = ""
 
 
 def _simple_real_roots(A):
@@ -155,7 +154,7 @@ def bethe_sector(a, e):
             raise NotASolution(f"sector e={e}, word {cls.ballot}: residues "
                                "fail the Bethe check")
         out.append(BetheSolution(a=a, x=x, s=d - e, qstar=qstar,
-                                 degrees=(d, e), word=cls.ballot))
+                                 degrees=(d, e)))
     return out
 
 

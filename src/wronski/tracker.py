@@ -8,11 +8,10 @@ q2[1:k2] = 0 and q2(z0) = 0; the other coefficients are the unknowns, n-k
 of them for n = d+e-1 and k = k1 + k2 - 1.  Every pattern but b(0, 1) is
 used at z0 = 0, where W(q1, q2) / z^k is d-e times a monic polynomial of
 degree n-k, so the unknowns are fixed by asking it to vanish at as many
-prescribed real roots rho_j.  One Newton corrector solves that square
-system in Lagrange form, with rows W(rho_j) / (rho_j^k w'(rho_j) |rho_j|)
-for w = prod (z - rho_j), and one predictor-corrector loop moves the rho_j
-linearly.  Everything is real: the chart, the coefficients and the
-roots, since a class with real critical points is real.
+prescribed real roots rho_j.  That square system is solved in Lagrange
+form, with rows W(rho_j) / (rho_j^k w'(rho_j) |rho_j|) for
+w = prod (z - rho_j).  Everything is real: the chart, the coefficients and
+the roots, since a class with real critical points is real.
 
 solve_all builds one class per F-word of the degree pair (a ballot
 sequence when e = d-1, the rational functions of degree d) and carries
@@ -22,17 +21,18 @@ position in the chart b(k1, k2) at 0 before the next operation fires, so
 only one root is ever microscopic and each class stays resolvable in
 double precision.  A stage's birth and its targets depend only on the
 word's prefix, so the stages form a trie: one node per prefix, born once
-and shared by every word through it.  All nodes of one depth m have m
-unknowns and the same targets, and differ only in which coefficients are
-unknown and in where the newborn root starts; they advance in lockstep
-(_Lockstep), each with its own t, step size and Newton count, while every
-evaluation of the rows, condition estimate and linear solve is one
-stacked NumPy call for the whole depth.  A node's arithmetic and its
-decisions are those it would make alone, so build_branch, the one-word
-trie, gives each word the class solve_all gives it.  Each finished word
-is renormalized into the chart b(0, 1) at a base point away from the
-critical points, chosen by a fixed rule, and polished there by the same
-corrector (_polish).
+and shared by every word through it.
+
+One stack, _Lockstep, is the only Newton corrector.  It moves the rho_j
+of many charts at one base point linearly in t, each with its own t,
+step size and Newton count, while every evaluation of the rows,
+condition estimate and linear solve is one stacked NumPy call; a node's
+arithmetic and its decisions are those it would make alone.  All trie
+nodes of one depth share their targets and advance together from t = 0,
+so build_branch, the one-word trie, gives each word the class solve_all
+gives it.  The finished words are renormalized into the chart b(0, 1) at
+a base point away from the critical points, chosen by a fixed rule, and
+polished there as one stack that only corrects, at t = 1 (_polish).
 """
 
 from dataclasses import dataclass
@@ -43,8 +43,8 @@ from numpy.polynomial import polynomial as P
 
 from . import poly
 from .combinat import ballot_sequences
-from .errors import (ChartDegenerate, CountMismatch, NewtonDiverged,
-                     PathStuck, ScheduleExhausted, SingularJacobian)
+from .errors import (ChartDegenerate, CountMismatch, PathStuck,
+                     ScheduleExhausted)
 from .seeds import CanonicalPair, apply_F, initial_pair
 
 RESIDUAL_TOL = 1e-10    # Newton accepts rows below this or their noise floor
@@ -115,13 +115,6 @@ def _coefficients(U, pos, d, e, z0):
         acc = q2[:, b] + acc * z0
     q2[:, 0] = -acc
     return q1, q2
-
-
-def _unpack(u, chart):
-    """Chart coordinates -> (q1, q2) coefficient arrays."""
-    q1, q2 = _coefficients(u[None], chart.unknowns()[None], chart.d,
-                           chart.e, chart.base_point)
-    return q1[0], q2[0]
 
 
 def _pack(q1, q2, chart):
@@ -227,13 +220,6 @@ def _stacked_rows(U, pos, d, e, z0, rho, weights):
     return vals[..., 0], vals[..., 1], vals[..., 2:], floor
 
 
-def _lagrange_rows(u, chart, rho, weights):
-    """_stacked_rows for one chart: (r, dr, J, floor) at rho."""
-    rows = _stacked_rows(u[None], chart.unknowns()[None], chart.d, chart.e,
-                         chart.base_point, rho[None], weights[None])
-    return tuple(a[0] for a in rows)
-
-
 def _equilibrated_solves(J, r, U):
     """Solve the stacked systems J x = r with columns scaled by coefficient
     magnitude; returns (x, ok).
@@ -276,38 +262,22 @@ def _equilibrated_solves(J, r, U):
     return x, ok
 
 
-def _newton(u, chart, rho, cap=np.inf):
-    """Newton-correct chart coordinates u onto Wronskian roots rho.
+class _Lockstep:
+    """Charts at one base point z0, each tracked along its linear root
+    homotopy rho_i(t) = start_i + t (end - start_i) from t = t0 to 1.  This
+    is the one Newton corrector: the staged depths run it from t0 = 0, the
+    final polish as the bare correction at t0 = 1 with start = end.
 
     A row is accepted below RESIDUAL_TOL, or below its noise floor where
-    that is at most cap.
-    """
-    weights = _lagrange_weights(rho)
-    for it in range(MAX_NEWTON + 1):
-        r, _, J, floor = _lagrange_rows(u, chart, rho, weights)
-        if np.all(np.abs(r) <= np.maximum(RESIDUAL_TOL,
-                                          np.minimum(floor, cap))):
-            return u
-        if it < MAX_NEWTON:
-            x, ok = _equilibrated_solves(J[None], r[None], u[None])
-            if not ok[0]:
-                raise SingularJacobian("Jacobian singular or its condition "
-                                       "estimate above 1e12")
-            u = u - x[0]
-    raise NewtonDiverged("Newton did not converge")
-
-
-class _Lockstep:
-    """Charts of one trie depth, each tracked along its linear root
-    homotopy rho_i(t) = start_i + t (end - start_i) at base point 0.
-
-    Every node runs the predictor-corrector of a single path: from the
-    rows that accepted u, an Euler predictor to t + step, then up to
-    MAX_NEWTON Newton steps on rho(t + step); a singular solve or a Newton
-    miss halves the node's step and retries from u, an acceptance doubles
-    it up to DT_INIT.  The node's pending solve is x = J^-1 r from base,
-    giving the next iterate v = base + coef * x: the predictor has
-    coef = step and r = -dr (end - start), a Newton step coef = -1.
+    that is at most its cap.  Every node runs the predictor-corrector of a
+    single path: a correction onto rho(t0), then from the rows that
+    accepted u an Euler predictor to t + step, then up to MAX_NEWTON
+    Newton steps on rho(t + step); a singular solve or a Newton miss
+    halves the node's step and retries from u, an acceptance doubles it up
+    to DT_INIT.  A miss at t0, where there is no step to halve, leaves the
+    node stuck.  The node's pending solve is x = J^-1 r from base, giving
+    the next iterate v = base + coef * x: the predictor has coef = step
+    and r = -dr (end - start), a Newton step coef = -1.
 
     A tick evaluates the rows of every node, accepts or corrects the
     fresh iterates among them, then makes every node's pending solve:
@@ -315,31 +285,30 @@ class _Lockstep:
     keeps.  A node leaves the stack when it arrives at t = 1 or is stuck.
     """
 
-    _STATE = ("node", "pos", "start", "rates", "u", "v", "t", "dt", "step",
-              "it", "fresh", "J_u", "r_u", "J", "r", "base", "coef", "rho",
-              "weights")
+    _STATE = ("node", "pos", "start", "rates", "cap", "u", "v", "t", "dt",
+              "step", "it", "fresh", "J_u", "r_u", "J", "r", "base", "coef",
+              "rho", "weights")
 
-    def __init__(self, U, pos, d, e, starts, end):
-        N = U.shape[0]
-        self.d, self.e = d, e
+    def __init__(self, U, pos, d, e, z0, starts, end, t0, cap):
+        N, m = U.shape
+        self.d, self.e, self.z0 = d, e, z0
         self.final = U.copy()
         self.stuck = np.zeros(N, dtype=bool)
         self.node = np.arange(N)
         self.pos, self.start, self.rates = pos, starts, end - starts
+        self.cap = np.broadcast_to(cap, (N, m))
         self.u, self.v = U.copy(), U.copy()     # accepted point, iterate
-        self.t = np.zeros(N)
+        self.t = np.full(N, float(t0))
         self.dt = np.full(N, DT_INIT)
         self.step = np.zeros(N)
         self.it = np.zeros(N, dtype=int)        # Newton steps towards v
-        self.fresh = np.zeros(N, dtype=bool)    # v awaits its rows
+        self.fresh = np.ones(N, dtype=bool)     # v awaits its rows
         # The predictor system of the accepted point, and the pending one.
-        _, dr, self.J_u, _ = _stacked_rows(U, pos, d, e, 0.0, starts,
-                                           _lagrange_weights(starts))
-        self.r_u = -dr * self.rates
+        self.J_u, self.r_u = np.zeros((N, m, m)), np.zeros((N, m))
         self.J, self.r, self.base = self.J_u, self.r_u, self.u
         self.coef = np.zeros(N)
-        self.rho, self.weights = starts, np.ones_like(starts)
-        self._predict(np.ones(N, dtype=bool))
+        self.rho = starts + t0 * self.rates
+        self.weights = _lagrange_weights(self.rho)
 
     def run(self):
         """Track every node to t = 1 or until it is stuck; returns the
@@ -380,8 +349,10 @@ class _Lockstep:
         """Rows at the fresh iterates: accept, or queue a Newton step, or
         give up on this step after MAX_NEWTON of them."""
         r, dr, J, floor = _stacked_rows(self.v, self.pos, self.d, self.e,
-                                        0.0, self.rho, self.weights)
-        conv = np.all(np.abs(r) <= np.maximum(RESIDUAL_TOL, floor), axis=1)
+                                        self.z0, self.rho, self.weights)
+        conv = np.all(np.abs(r) <= np.maximum(RESIDUAL_TOL,
+                                              np.minimum(floor, self.cap)),
+                      axis=1)
         acc = self.fresh & conv
         newton = self.fresh & ~conv & (self.it < MAX_NEWTON)
         missed = self.fresh & ~conv & (self.it >= MAX_NEWTON)
@@ -428,21 +399,30 @@ class _Lockstep:
             setattr(self, name, getattr(self, name)[keep])
 
 
-def newton_polish(pc, target_roots):
-    """Newton-correct a pair class onto the given target critical points.
+def newton_polish(classes, target_roots):
+    """Newton-correct pair classes, all in one chart, onto the given target
+    critical points: one _Lockstep stack, corrected at t0 = 1.  Returns the
+    corrected classes, with None for each whose correction misses or is
+    singular.
 
     The noise floor excuses a row only while the rounding it stands for
     moves the root by less than half the gap to its nearest neighbour;
     beyond that the chart cannot tell the class from the next one.  (The
-    staged stages need no cap: the birth after each checks its roots.)
+    staged depths need no cap: the birth after each checks its roots.)
     """
-    rho = np.sort(np.asarray(target_roots))
+    chart = classes[0].chart
+    rho = np.sort(np.asarray(target_roots, dtype=float))
     gaps = np.diff(rho)
     nearest = np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))
     cap = 0.5 * nearest / _magnitudes(rho)
-    u = _newton(_pack(pc.q1, pc.q2, pc.chart), pc.chart, rho, cap)
-    q1, q2 = _unpack(u, pc.chart)
-    return PairClass(q1=q1, q2=q2, chart=pc.chart, ballot=pc.ballot)
+    d, e, z0, N = chart.d, chart.e, chart.base_point, len(classes)
+    pos = np.tile(chart.unknowns(), (N, 1))
+    U = np.array([_pack(pc.q1, pc.q2, chart) for pc in classes])
+    U, stuck = _Lockstep(U, pos, d, e, z0, np.tile(rho, (N, 1)), rho, 1.0,
+                         cap).run()
+    q1, q2 = _coefficients(U, pos, d, e, z0)
+    return [None if bad else PairClass(q1[i], q2[i], chart, pc.ballot)
+            for i, (pc, bad) in enumerate(zip(classes, stuck))]
 
 
 def to_chart(f1, f2, chart):
@@ -539,8 +519,8 @@ def _build_trie(sigmas, mapped, d, e):
     `mapped`, one trie node per prefix, depth by depth.
 
     Returns the classes, in the chart b(0, 1) at 0, of the words before
-    the first word whose build fails, followed by that word's error if
-    there is one; later words are not built.
+    the first word whose build fails, and that word's error or None; later
+    words are not built.
     """
     span = np.abs(mapped).max()
     first = {}                  # prefix -> index of the first word with it
@@ -567,7 +547,8 @@ def _build_trie(sigmas, mapped, d, e):
         U = np.array([_pack(c.q1, c.q2, ch) for (_, c, _), ch
                       in zip(born, charts)])
         starts = np.array([roots for _, _, roots in born])
-        U, stuck = _Lockstep(U, pos, d, e, starts, mapped[:m]).run()
+        U, stuck = _Lockstep(U, pos, d, e, 0.0, starts, mapped[:m], 0.0,
+                             np.inf).run()
         level = {}
         for (p, c, _), q1, q2, bad in zip(born, *_coefficients(U, pos, d, e,
                                                                0.0), stuck):
@@ -580,15 +561,14 @@ def _build_trie(sigmas, mapped, d, e):
     built = [PairClass(q1=level[s].q1, q2=level[s].q2,
                        chart=Chart(base_point=0.0, d=d, e=e), ballot=s)
              for s in sigmas[:cutoff]]
-    if cutoff < len(sigmas):
-        s = sigmas[cutoff]
-        p = next(s[:m] for m in range(1, len(s) + 1) if s[:m] in failed)
-        built.append(
-            ScheduleExhausted(
-                f"no valid birth parameter at step {len(p)} of {s!r}")
-            if failed[p] is ScheduleExhausted
-            else PathStuck("staged step size underflow"))
-    return built
+    if cutoff == len(sigmas):
+        return built, None
+    s = sigmas[cutoff]
+    p = next(s[:m] for m in range(1, len(s) + 1) if s[:m] in failed)
+    if failed[p] is ScheduleExhausted:
+        return built, ScheduleExhausted(
+            f"no valid birth parameter at step {len(p)} of {s!r}")
+    return built, PathStuck("staged step size underflow")
 
 
 def build_branch(sigma, mapped, d):
@@ -601,10 +581,10 @@ def build_branch(sigma, mapped, d):
     pattern pins the remaining root multiplicity at 0.
     """
     mapped = _staged_targets(mapped)
-    built, = _build_trie([sigma], mapped, d, sigma.count("1"))
-    if isinstance(built, Exception):
-        raise built
-    return built
+    built, error = _build_trie([sigma], mapped, d, sigma.count("1"))
+    if error:
+        raise error
+    return built[0]
 
 
 def _staged_targets(mapped):
@@ -614,28 +594,45 @@ def _staged_targets(mapped):
     return mapped
 
 
-def _polish(tracked, points, alpha, beta):
-    """Carry a class built at alpha*points + beta back onto the points and
-    polish it in the chart b(0, 1) at the first base point that works."""
+def _polish(built, points, alpha, beta):
+    """Carry classes built at alpha*points + beta back onto the points and
+    polish them in the chart b(0, 1): all together at the first admissible
+    base point, then each that fails there, in word order, at the next
+    ones one at a time.  Raises PathStuck for the first class that no base
+    point polishes."""
     # Undo the affine map: substitute z -> alpha*z + beta in both
     # polynomials, which carries the Wronskian roots back onto points.
-    f1 = poly.compose_affine(tracked.q1, alpha, beta)
-    f2 = poly.compose_affine(tracked.q2, alpha, beta)
-    d, e, sigma = tracked.chart.d, tracked.chart.e, tracked.ballot
+    spans = [(poly.compose_affine(t.q1, alpha, beta),
+              poly.compose_affine(t.q2, alpha, beta), t) for t in built]
     # Polish chart bases, nearest 0 first: 0, then +-2^k / 16.  The pinned
     # constant q2[0] = -sum q2[b] z0^b loses eps * sum |q2[b] z0^b|, which
     # grows with |z0|.  A base within 1e-2 of a point is skipped.
-    for z0 in [0.0, *(s * 2.0 ** k / 16 for k in range(20) for s in (1, -1))]:
-        if np.abs(points - z0).min() < 1e-2:
-            continue
-        try:
-            chart = Chart(base_point=z0, d=d, e=e)
-            g1, g2 = to_chart(f1, f2, chart)
-            pc = PairClass(q1=g1, q2=g2, chart=chart, ballot=sigma)
-            return newton_polish(pc, points)
-        except (ChartDegenerate, NewtonDiverged, SingularJacobian):
-            continue
-    raise PathStuck(f"could not renormalize branch {sigma!r}")
+    bases = [z0 for z0 in [0.0, *(s * 2.0 ** k / 16 for k in range(20)
+                                  for s in (1, -1))]
+             if np.abs(points - z0).min() >= 1e-2]
+
+    def at(z0, group):
+        """The classes of group polished at z0, None where that fails."""
+        charted = []
+        for f1, f2, t in group:
+            chart = Chart(base_point=z0, d=t.d, e=t.chart.e)
+            try:
+                charted.append(PairClass(*to_chart(f1, f2, chart), chart,
+                                         t.ballot))
+            except ChartDegenerate:
+                charted.append(None)
+        found = [pc for pc in charted if pc]
+        polished = iter(newton_polish(found, points) if found else ())
+        return [pc and next(polished) for pc in charted]
+
+    classes = at(bases[0], spans) if bases else [None] * len(spans)
+    for i, (pc, span) in enumerate(zip(classes, spans)):
+        classes[i] = pc or next(filter(None, (at(z0, [span])[0]
+                                              for z0 in bases[1:])), None)
+        if classes[i] is None:
+            raise PathStuck(
+                f"could not renormalize branch {span[2].ballot!r}")
+    return classes
 
 
 def solve_branch(sigma, points, d):
@@ -643,7 +640,7 @@ def solve_branch(sigma, points, d):
     points = np.sort(np.asarray(points, dtype=float))
     alpha, beta = _affine_into_unit(points)
     tracked = build_branch(sigma, alpha * points + beta, d)
-    return _polish(tracked, points, alpha, beta)
+    return _polish([tracked], points, alpha, beta)[0]
 
 
 def solve_all(points, d, e=None):
@@ -654,11 +651,13 @@ def solve_all(points, d, e=None):
     Returns one class per F-word, C(n, e) - C(n, e-1) of them (catalan(d)
     at the default), sorted by word; raises CountMismatch if deduplication
     does not yield exactly that many.  The words are built together on
-    their trie and polished one by one; the first word, in order, whose
-    build or polish fails raises its error.
+    their trie and polished together (_polish); the first word, in order,
+    whose build or polish fails raises its error.
     """
     e = d - 1 if e is None else e
     points = np.asarray(points, dtype=float)
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
     if points.size != d + e - 1:
         raise ValueError(f"need {d + e - 1} points for degree {d}")
     if np.unique(points).size != points.size:
@@ -666,12 +665,11 @@ def solve_all(points, d, e=None):
     sigmas = ballot_sequences(d, e)
     points = np.sort(points)
     alpha, beta = _affine_into_unit(points)
-    built = _build_trie(sigmas, _staged_targets(alpha * points + beta), d, e)
-    classes = []
-    for tracked in built:
-        if isinstance(tracked, Exception):
-            raise tracked
-        classes.append(_polish(tracked, points, alpha, beta))
+    built, error = _build_trie(sigmas, _staged_targets(alpha * points + beta),
+                               d, e)
+    classes = _polish(built, points, alpha, beta)
+    if error:
+        raise error
     logs = []
     distinct = []
     for pc in classes:

@@ -227,16 +227,21 @@ def test_criterion_9_numerical_hygiene():
         u = rng.normal(size=n)
         weights = tracker._lagrange_weights(rho)
         h = 1e-6
+
+        def rows(u):
+            # a stack of one chart
+            return [a[0] for a in tracker._stacked_rows(
+                u[None], chart.unknowns()[None], chart.d, chart.e,
+                chart.base_point, rho[None], weights[None])]
+
         try:
-            _, _, J, _ = tracker._lagrange_rows(u, chart, rho, weights)
+            _, _, J, _ = rows(u)
             fd = np.zeros_like(J)
             for j in range(n):
                 up, um = u.copy(), u.copy()
                 up[j] += h
                 um[j] -= h
-                fd[:, j] = (tracker._lagrange_rows(up, chart, rho, weights)[0]
-                            - tracker._lagrange_rows(um, chart, rho, weights)[0]
-                            ) / (2 * h)
+                fd[:, j] = (rows(up)[0] - rows(um)[0]) / (2 * h)
         except WronskiError:
             continue
         scale = max(1.0, np.abs(J).max())

@@ -77,6 +77,20 @@ def test_equilibrium_command():
     assert abs(z[0]) < 1e-9 and abs(z[1]) < 1e-9
 
 
+@pytest.mark.parametrize("args", [
+    ("solve", "--points", "nan,1"),
+    ("solve", "--points", "-1,inf"),
+    ("net", "--points", "nan,1"),
+    ("verify", "--points", "nan,1"),
+    ("bethe", "--points", "-1,nan"),
+    ("equilibrium", "--points", "-1,nan,2,3", "--m", "1"),
+])
+def test_non_finite_points_exit2(args):
+    code, text = cli.run(list(args))
+    assert code == 2
+    assert json.loads(text)["error"] == "points must be finite"
+
+
 def test_equilibrium_bad_m_exit2():
     code, _ = run_cli("equilibrium", "--points", "-1,1", "--m", "5")
     assert code == 2
@@ -174,8 +188,8 @@ def test_run_in_process():
 
 
 NUMERICAL_KINDS = {"PathStuck", "CountMismatch", "TraceLost", "NewtonDiverged",
-                   "ScheduleExhausted", "SingularJacobian", "ChartDegenerate",
-                   "MultipleRoot", "NotASolution"}
+                   "ScheduleExhausted", "ChartDegenerate", "MultipleRoot",
+                   "NotASolution"}
 
 
 @pytest.mark.parametrize("error", sorted(WronskiError.__subclasses__(),

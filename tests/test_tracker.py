@@ -3,7 +3,7 @@ import pytest
 
 from wronski import poly, tracker
 from wronski.combinat import ballot_sequences, catalan
-from wronski.errors import ChartDegenerate
+from wronski.errors import ChartDegenerate, PathStuck
 from wronski.seeds import initial_pair
 from wronski.tracker import Chart, PairClass
 
@@ -64,9 +64,49 @@ def test_newton_polish_restores_accuracy():
     pc = tracker.solve_all(pts, 3)[0]
     noisy = PairClass(q1=pc.q1 + 1e-6, q2=pc.q2, chart=pc.chart,
                       ballot=pc.ballot)
-    polished = tracker.newton_polish(noisy, pts)
+    polished, = tracker.newton_polish([noisy], pts)
     got = np.sort(polished.wronskian_roots().real)
     assert np.abs(got - pts).max() < 1e-10
+
+
+def _charting_fails(monkeypatch, fails):
+    """Make to_chart raise ChartDegenerate where fails(word, base) holds.
+    Words are numbered by their first call, at base 0 in word order.
+    Returns the (word, base) of every call."""
+    to_chart, words, calls = tracker.to_chart, {}, []
+
+    def failing(f1, f2, chart):
+        word = words.setdefault(f1.tobytes(), len(words))
+        calls.append((word, chart.base_point))
+        if fails(word, chart.base_point):
+            raise ChartDegenerate("no chart here")
+        return to_chart(f1, f2, chart)
+
+    monkeypatch.setattr(tracker, "to_chart", failing)
+    return calls
+
+
+POLISH_POINTS = np.array([-2.7, -1.6, -0.45, 0.6, 1.4, 2.8])
+
+
+def test_polish_falls_back_to_the_next_base(monkeypatch):
+    _charting_fails(monkeypatch, lambda word, z0: word == 1 and z0 == 0.0)
+    classes = tracker.solve_all(POLISH_POINTS, 4)
+    assert [pc.chart.base_point for pc in classes] == [0.0, 0.0625, 0.0,
+                                                       0.0, 0.0]
+    got = np.sort(classes[1].wronskian_roots().real)
+    assert np.abs(got - POLISH_POINTS).max() < 1e-8
+
+
+def test_polish_stuck_names_the_first_word_and_stops(monkeypatch):
+    # Words 2 to 4 fail at base 0, and word 2 at every base: the error
+    # names word 2, and words 3 and 4 never reach a second base.
+    words = ballot_sequences(4)
+    calls = _charting_fails(
+        monkeypatch, lambda word, z0: word == 2 or (word > 2 and z0 == 0.0))
+    with pytest.raises(PathStuck, match=repr(words[2])):
+        tracker.solve_all(POLISH_POINTS, 4)
+    assert {word for word, z0 in calls if z0 != 0.0} == {2}
 
 
 def test_build_branch_staged_roots():
@@ -122,15 +162,24 @@ def _first_stage_stack(n):
     chart = Chart(base_point=0.0, d=3, k1=cand.k1, k2=cand.k2)
     u = tracker._pack(cand.q1, cand.q2, chart)
     return tracker._Lockstep(np.tile(u, (n, 1)),
-                             np.tile(chart.unknowns(), (n, 1)), 3, 2,
-                             np.tile(start, (n, 1)), mapped[:1])
+                             np.tile(chart.unknowns(), (n, 1)), 3, 2, 0.0,
+                             np.tile(start, (n, 1)), mapped[:1], 0.0, np.inf)
 
 
-def test_lockstep_singular_node_halves_only_its_own_step():
+def test_lockstep_singular_node_halves_only_its_own_step(monkeypatch):
     alone, _ = _first_stage_stack(1).run()
     lock = _first_stage_stack(3)
-    lock.J_u[1] = 0.0               # node 1's predictor system is singular
-    lock.J[1] = 0.0
+    rows = tracker._stacked_rows
+
+    def singular_start(*args):
+        # The start correction accepts every node, and node 1 keeps a
+        # singular predictor system.
+        r, dr, J, floor = rows(*args)
+        J[1] = 0.0
+        monkeypatch.setattr(tracker, "_stacked_rows", rows)
+        return r, dr, J, floor
+
+    monkeypatch.setattr(tracker, "_stacked_rows", singular_start)
     lock.tick()
     assert list(lock.dt) == [tracker.DT_INIT, tracker.DT_INIT / 2,
                              tracker.DT_INIT]
