@@ -43,10 +43,6 @@ class ChartDegenerate(WronskiError):
     numerical = True
 
 
-class NewtonDiverged(WronskiError):
-    numerical = True
-
-
 class PathStuck(WronskiError):
     numerical = True
 

@@ -27,12 +27,16 @@ One stack, _Lockstep, is the only Newton corrector.  It moves the rho_j
 of many charts at one base point linearly in t, each with its own t,
 step size and Newton count, while every evaluation of the rows,
 condition estimate and linear solve is one stacked NumPy call; a node's
-arithmetic and its decisions are those it would make alone.  All trie
-nodes of one depth share their targets and advance together from t = 0,
-so build_branch, the one-word trie, gives each word the class solve_all
-gives it.  The finished words are renormalized into the chart b(0, 1) at
-a base point away from the critical points, chosen by a fixed rule, and
-polished there as one stack that only corrects, at t = 1 (_polish).
+arithmetic and its decisions are those it would make alone.  A node's
+step doubles after every accepted point and halves when a few Newton
+steps cannot correct the predicted one, so the corrector, not a fixed
+cap, sets how many steps a stage takes.  All trie nodes of one depth
+share their targets and advance together from t = 0, so build_branch,
+the one-word trie, gives each word the class solve_all gives it.  The
+finished words are renormalized into the chart b(0, 1) at a base point
+away from the critical points, chosen by a fixed rule, and polished there
+down to the noise floor as one stack that only corrects, at t = 1
+(_polish).
 """
 
 from dataclasses import dataclass
@@ -47,9 +51,9 @@ from .errors import (ChartDegenerate, CountMismatch, PathStuck,
                      ScheduleExhausted)
 from .seeds import CanonicalPair, apply_F, initial_pair
 
-RESIDUAL_TOL = 1e-10    # Newton accepts rows below this or their noise floor
-MAX_NEWTON = 8          # Newton steps per point
-DT_INIT = 0.05          # first and largest homotopy step in t
+RESIDUAL_TOL = 1e-10    # staged rows are accepted below this or their floor
+MAX_NEWTON = 3          # Newton steps per point; a miss halves the step
+DT_INIT = 0.05          # first homotopy step in t
 DT_MIN = 1e-9           # relative step size that counts as PathStuck
 BIRTH_RATIO = 0.05      # first birth parameter, and its shrink factor
 BIRTH_RETRIES = 40      # shrinks before ScheduleExhausted
@@ -268,16 +272,19 @@ class _Lockstep:
     is the one Newton corrector: the staged depths run it from t0 = 0, the
     final polish as the bare correction at t0 = 1 with start = end.
 
-    A row is accepted below RESIDUAL_TOL, or below its noise floor where
-    that is at most its cap.  Every node runs the predictor-corrector of a
-    single path: a correction onto rho(t0), then from the rows that
-    accepted u an Euler predictor to t + step, then up to MAX_NEWTON
-    Newton steps on rho(t + step); a singular solve or a Newton miss
-    halves the node's step and retries from u, an acceptance doubles it up
-    to DT_INIT.  A miss at t0, where there is no step to halve, leaves the
-    node stuck.  The node's pending solve is x = J^-1 r from base, giving
-    the next iterate v = base + coef * x: the predictor has coef = step
-    and r = -dr (end - start), a Newton step coef = -1.
+    A row is accepted below tol (the staged depths pass RESIDUAL_TOL, the
+    polish 0), or below its noise floor where that is at most its cap.
+    Every node runs the predictor-corrector of a single path: a correction
+    onto rho(t0), then from the rows that accepted u an Euler predictor to
+    t + step, then up to MAX_NEWTON Newton steps on rho(t + step).  The
+    first step is DT_INIT, and every acceptance, the start correction's
+    included, doubles it, with step = min(dt, 1 - t): the corrector alone
+    bounds the step.  A point that MAX_NEWTON Newton steps do not correct,
+    or a singular solve, means the step was too long: it is halved and
+    retried from u.  A miss at t0, where there is no step to halve, leaves
+    the node stuck.  The node's pending solve is x = J^-1 r from base,
+    giving the next iterate v = base + coef * x: the predictor has
+    coef = step and r = -dr (end - start), a Newton step coef = -1.
 
     A tick evaluates the rows of every node, accepts or corrects the
     fresh iterates among them, then makes every node's pending solve:
@@ -289,9 +296,9 @@ class _Lockstep:
               "step", "it", "fresh", "J_u", "r_u", "J", "r", "base", "coef",
               "rho", "weights")
 
-    def __init__(self, U, pos, d, e, z0, starts, end, t0, cap):
+    def __init__(self, U, pos, d, e, z0, starts, end, t0, cap, tol):
         N, m = U.shape
-        self.d, self.e, self.z0 = d, e, z0
+        self.d, self.e, self.z0, self.tol = d, e, z0, tol
         self.final = U.copy()
         self.stuck = np.zeros(N, dtype=bool)
         self.node = np.arange(N)
@@ -350,7 +357,7 @@ class _Lockstep:
         give up on this step after MAX_NEWTON of them."""
         r, dr, J, floor = _stacked_rows(self.v, self.pos, self.d, self.e,
                                         self.z0, self.rho, self.weights)
-        conv = np.all(np.abs(r) <= np.maximum(RESIDUAL_TOL,
+        conv = np.all(np.abs(r) <= np.maximum(self.tol,
                                               np.minimum(floor, self.cap)),
                       axis=1)
         acc = self.fresh & conv
@@ -363,8 +370,7 @@ class _Lockstep:
             self.J_u = np.where(acc[:, None, None], J, self.J_u)
             self.r_u = np.where(a1, -dr * self.rates, self.r_u)
             self.t = np.where(acc, self.t + self.step, self.t)
-            self.dt = np.where(acc, np.minimum(2 * self.dt, DT_INIT),
-                               self.dt)
+            self.dt = np.where(acc, 2 * self.dt, self.dt)
         if newton.any():
             n1 = newton[:, None]
             self.J = np.where(newton[:, None, None], J, self.J)
@@ -405,10 +411,13 @@ def newton_polish(classes, target_roots):
     corrected classes, with None for each whose correction misses or is
     singular.
 
-    The noise floor excuses a row only while the rounding it stands for
-    moves the root by less than half the gap to its nearest neighbour;
-    beyond that the chart cannot tell the class from the next one.  (The
-    staged depths need no cap: the birth after each checks its roots.)
+    Every row is corrected down to its noise floor, with no absolute
+    tolerance: the staged depths' RESIDUAL_TOL would leave an
+    ill-conditioned class coefficient errors near 1e-9.  The noise floor
+    excuses a row only while the rounding it stands for moves the root by
+    less than half the gap to its nearest neighbour; beyond that the chart
+    cannot tell the class from the next one.  (The staged depths need no
+    cap: the birth after each checks its roots.)
     """
     chart = classes[0].chart
     rho = np.sort(np.asarray(target_roots, dtype=float))
@@ -419,7 +428,7 @@ def newton_polish(classes, target_roots):
     pos = np.tile(chart.unknowns(), (N, 1))
     U = np.array([_pack(pc.q1, pc.q2, chart) for pc in classes])
     U, stuck = _Lockstep(U, pos, d, e, z0, np.tile(rho, (N, 1)), rho, 1.0,
-                         cap).run()
+                         cap, 0.0).run()
     q1, q2 = _coefficients(U, pos, d, e, z0)
     return [None if bad else PairClass(q1[i], q2[i], chart, pc.ballot)
             for i, (pc, bad) in enumerate(zip(classes, stuck))]
@@ -548,7 +557,7 @@ def _build_trie(sigmas, mapped, d, e):
                       in zip(born, charts)])
         starts = np.array([roots for _, _, roots in born])
         U, stuck = _Lockstep(U, pos, d, e, 0.0, starts, mapped[:m], 0.0,
-                             np.inf).run()
+                             np.inf, RESIDUAL_TOL).run()
         level = {}
         for (p, c, _), q1, q2, bad in zip(born, *_coefficients(U, pos, d, e,
                                                                0.0), stuck):

@@ -187,7 +187,7 @@ def test_run_in_process():
     assert code == 0 and json.loads(text)["u"] == 14
 
 
-NUMERICAL_KINDS = {"PathStuck", "CountMismatch", "TraceLost", "NewtonDiverged",
+NUMERICAL_KINDS = {"PathStuck", "CountMismatch", "TraceLost",
                    "ScheduleExhausted", "ChartDegenerate", "MultipleRoot",
                    "NotASolution"}
 

@@ -163,7 +163,19 @@ def _first_stage_stack(n):
     u = tracker._pack(cand.q1, cand.q2, chart)
     return tracker._Lockstep(np.tile(u, (n, 1)),
                              np.tile(chart.unknowns(), (n, 1)), 3, 2, 0.0,
-                             np.tile(start, (n, 1)), mapped[:1], 0.0, np.inf)
+                             np.tile(start, (n, 1)), mapped[:1], 0.0, np.inf,
+                             tracker.RESIDUAL_TOL)
+
+
+def test_lockstep_first_stage_takes_few_ticks():
+    # Accepted steps double from DT_INIT with no cap: 0.1, 0.2, 0.4, 0.3.
+    lock = _first_stage_stack(1)
+    ticks = 0
+    while lock.node.size:
+        lock.tick()
+        ticks += 1
+    assert ticks <= 5
+    assert not lock.stuck[0]
 
 
 def test_lockstep_singular_node_halves_only_its_own_step(monkeypatch):
@@ -181,12 +193,34 @@ def test_lockstep_singular_node_halves_only_its_own_step(monkeypatch):
 
     monkeypatch.setattr(tracker, "_stacked_rows", singular_start)
     lock.tick()
-    assert list(lock.dt) == [tracker.DT_INIT, tracker.DT_INIT / 2,
-                             tracker.DT_INIT]
+    assert list(lock.dt) == [2 * tracker.DT_INIT, tracker.DT_INIT,
+                             2 * tracker.DT_INIT]
     assert list(lock.fresh) == [True, False, True]
     final, stuck = lock.run()
     assert list(stuck) == [False, True, False]
     assert np.array_equal(final[[0, 2]], np.tile(alone[0], (2, 1)))
+
+
+def test_lockstep_newton_miss_halves_the_step_and_retries_from_u():
+    alone, _ = _first_stage_stack(1).run()
+    lock = _first_stage_stack(1)
+    lock.tick()                     # the start is accepted, u at t = 0
+    u, step = lock.u.copy(), lock.step[0]
+    # No row converges: every fresh iterate takes a Newton step, until
+    # MAX_NEWTON of them have missed.
+    cap, lock.cap = lock.cap, np.full_like(lock.cap, -1.0)
+    lock.tol = -1.0
+    for it in range(1, tracker.MAX_NEWTON + 1):
+        lock.tick()
+        assert lock.it[0] == it and lock.coef[0] == -1.0
+    lock.tick()
+    assert lock.t[0] == 0.0 and np.array_equal(lock.u, u)
+    assert lock.step[0] == lock.dt[0] == step / 2
+    assert np.array_equal(lock.base, u) and lock.coef[0] == step / 2
+    lock.cap, lock.tol = cap, tracker.RESIDUAL_TOL
+    final, stuck = lock.run()
+    assert not stuck[0]
+    assert np.allclose(final, alone, rtol=1e-8, atol=0.0)
 
 
 def test_lockstep_node_stuck_in_newton_leaves_the_stack():
