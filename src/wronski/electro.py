@@ -139,7 +139,11 @@ def solve_equilibrium(fixed, m):
     for cls in tracker.solve_all(fixed, n + 1 - m, m):
         z = poly.roots(cls.q1).astype(complex)
         try:
-            z = _canonical(_refine(z, fixed))
+            z = _refine(z, fixed)
+            # Complex Newton steps leave a real charge an imaginary part at
+            # rounding level; it is stored as real.
+            z = _canonical(np.where(np.abs(z.imag) <= 1e-14 * (1 + np.abs(z)),
+                                    z.real, z))
             ok = z.size == m and _isolated_equilibrium(fixed, z)
         except (Collision, np.linalg.LinAlgError):
             ok = False

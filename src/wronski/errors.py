@@ -31,12 +31,8 @@ class NotPermitted(WronskiError):
     pass
 
 
-class NonPositiveParameter(WronskiError):
+class NegativeParameter(WronskiError):
     pass
-
-
-class ScheduleExhausted(WronskiError):
-    numerical = True
 
 
 class ChartDegenerate(WronskiError):

@@ -1,16 +1,15 @@
 """F-operations on canonical pairs, the steps of the staged construction.
 
 Starting from (z^e, z^d) with 0 <= e < d, each operation F1/F2, allowed
-under the permission rule, adds one positive low-order term a*z^{k_i - 1}
-to q1 or q2 and so moves one Wronskian root off 0 to a small negative
-position.  F1 fires e times and F2 d-1 times, in the order of an F-word
-(combinat.ballot_sequences; a ballot sequence when e = d-1).  The search
-for a parameter a that gives a valid birth lives in tracker._birth, which
-tracker._build_trie calls once per node of the trie of F-word prefixes:
-it shrinks a by the factor tracker.BIRTH_RATIO until the newborn root is
-simple, real and nearest zero.  The trie then continues the newborn root
-to its prescribed position, for all nodes of one depth together, before
-the next operation fires.
+under the permission rule, adds one low-order term a*z^{k_i - 1} with
+a >= 0 to q1 or q2 and lowers k_i by one, so one more Wronskian root
+leaves the multiple root at 0.  F1 fires e times and F2 d-1 times, in the
+order of an F-word (combinat.ballot_sequences; a ballot sequence when
+e = d-1).  tracker._build_trie fires every operation at a = 0, once per
+node of the trie of F-word prefixes: then W / z^k of the new pair is z
+times the old one, so the newborn root sits exactly at 0, and the trie
+continues it to its prescribed position, for all nodes of one depth
+together, before the next operation fires.
 """
 
 from dataclasses import dataclass, replace
@@ -18,13 +17,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import poly
-from .errors import NonPositiveParameter, NotPermitted
+from .errors import NegativeParameter, NotPermitted
 
 
 @dataclass(frozen=True)
 class CanonicalPair:
     """Normalized pair: q1 monic of degree e < d, q2 monic of degree d,
-    lowest-order exponents k1 < k2, all stored coefficients positive."""
+    lowest-order exponents k1 < k2, all stored coefficients non-negative."""
     d: int
     k1: int
     k2: int
@@ -69,8 +68,8 @@ def apply_F(i, a, pair):
     """Add the term a*z^{k_i - 1} to q_i; k_i drops by one."""
     if not permitted(i, pair):
         raise NotPermitted(f"F^{i} not permitted on b({pair.k1}, {pair.k2})")
-    if a <= 0:
-        raise NonPositiveParameter("parameter must be strictly positive")
+    if a < 0:
+        raise NegativeParameter("parameter must be non-negative")
     if i == 1:
         q1 = pair.q1.copy()
         q1[pair.k1 - 1] = a
@@ -79,8 +78,3 @@ def apply_F(i, a, pair):
     q2[pair.k2 - 1] = a
     return replace(pair, k2=pair.k2 - 1, q2=q2)
 
-
-def lowest_coeff(pair):
-    """Coefficient of the lowest-order Wronskian term,
-    (k2 - k1) * a_{2,k2} * a_{1,k1}."""
-    return (pair.k2 - pair.k1) * pair.q2[pair.k2] * pair.q1[pair.k1]

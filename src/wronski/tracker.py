@@ -16,11 +16,13 @@ the roots, since a class with real critical points is real.
 solve_all builds one class per F-word of the degree pair (a ballot
 sequence when e = d-1, the rational functions of degree d) and carries
 each to the n requested points.  Construction is staged: every
-F-operation's newborn Wronskian root is continued out to its prescribed
+F-operation fires with parameter a = 0, where W / z^k of the newborn pair
+is z times its parent's, so its roots are exactly the placed ones and 0.
+The corrector then carries the newborn root from 0 to its prescribed
 position in the chart b(k1, k2) at 0 before the next operation fires, so
 only one root is ever microscopic and each class stays resolvable in
-double precision.  A stage's birth and its targets depend only on the
-word's prefix, so the stages form a trie: one node per prefix, born once
+double precision.  A stage's start and its targets depend only on the
+word's prefix, so the stages form a trie: one node per prefix, built once
 and shared by every word through it.
 
 One stack, _Lockstep, is the only Newton corrector.  It moves the rho_j
@@ -30,13 +32,13 @@ condition estimate and linear solve is one stacked NumPy call; a node's
 arithmetic and its decisions are those it would make alone.  A node's
 step doubles after every accepted point and halves when a few Newton
 steps cannot correct the predicted one, so the corrector, not a fixed
-cap, sets how many steps a stage takes.  All trie nodes of one depth
-share their targets and advance together from t = 0, so build_branch,
-the one-word trie, gives each word the class solve_all gives it.  The
-finished words are renormalized into the chart b(0, 1) at a base point
-away from the critical points, chosen by a fixed rule, and polished there
-down to the noise floor as one stack that only corrects, at t = 1
-(_polish).
+cap, sets how many steps a stage takes, within a budget of MAX_TICKS
+ticks.  All trie nodes of one depth share their targets and advance
+together from t = 0, so build_branch, the one-word trie, gives each word
+the class solve_all gives it.  The finished words are renormalized into
+the chart b(0, 1) at a base point away from the critical points, chosen
+by a fixed rule, and polished there down to the noise floor as one stack
+that only corrects, at t = 1 (_polish).
 """
 
 from dataclasses import dataclass
@@ -47,16 +49,13 @@ from numpy.polynomial import polynomial as P
 
 from . import poly
 from .combinat import ballot_sequences
-from .errors import (ChartDegenerate, CountMismatch, PathStuck,
-                     ScheduleExhausted)
+from .errors import ChartDegenerate, CountMismatch, PathStuck
 from .seeds import CanonicalPair, apply_F, initial_pair
 
 RESIDUAL_TOL = 1e-10    # staged rows are accepted below this or their floor
 MAX_NEWTON = 3          # Newton steps per point; a miss halves the step
 DT_INIT = 0.05          # first homotopy step in t
-DT_MIN = 1e-9           # relative step size that counts as PathStuck
-BIRTH_RATIO = 0.05      # first birth parameter, and its shrink factor
-BIRTH_RETRIES = 40      # shrinks before ScheduleExhausted
+MAX_TICKS = 100         # ticks a node may use in one stack before PathStuck
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
@@ -281,10 +280,11 @@ class _Lockstep:
     included, doubles it, with step = min(dt, 1 - t): the corrector alone
     bounds the step.  A point that MAX_NEWTON Newton steps do not correct,
     or a singular solve, means the step was too long: it is halved and
-    retried from u.  A miss at t0, where there is no step to halve, leaves
-    the node stuck.  The node's pending solve is x = J^-1 r from base,
-    giving the next iterate v = base + coef * x: the predictor has
-    coef = step and r = -dr (end - start), a Newton step coef = -1.
+    retried from u.  A node is stuck when it must halve a zero step, which
+    is a miss at t0, or when it has used MAX_TICKS ticks without arriving.
+    The node's pending solve is x = J^-1 r from base, giving the next
+    iterate v = base + coef * x: the predictor has coef = step and
+    r = -dr (end - start), a Newton step coef = -1.
 
     A tick evaluates the rows of every node, accepts or corrects the
     fresh iterates among them, then makes every node's pending solve:
@@ -293,8 +293,8 @@ class _Lockstep:
     """
 
     _STATE = ("node", "pos", "start", "rates", "cap", "u", "v", "t", "dt",
-              "step", "it", "fresh", "J_u", "r_u", "J", "r", "base", "coef",
-              "rho", "weights")
+              "step", "it", "ticks", "fresh", "J_u", "r_u", "J", "r", "base",
+              "coef", "rho", "weights")
 
     def __init__(self, U, pos, d, e, z0, starts, end, t0, cap, tol):
         N, m = U.shape
@@ -309,6 +309,7 @@ class _Lockstep:
         self.dt = np.full(N, DT_INIT)
         self.step = np.zeros(N)
         self.it = np.zeros(N, dtype=int)        # Newton steps towards v
+        self.ticks = np.zeros(N, dtype=int)     # ticks used, of MAX_TICKS
         self.fresh = np.ones(N, dtype=bool)     # v awaits its rows
         # The predictor system of the accepted point, and the pending one.
         self.J_u, self.r_u = np.zeros((N, m, m)), np.zeros((N, m))
@@ -325,6 +326,7 @@ class _Lockstep:
         return self.final, self.stuck
 
     def tick(self):
+        self.ticks = self.ticks + 1
         if self.fresh.any():
             self._correct()
         if self.node.size:
@@ -333,7 +335,9 @@ class _Lockstep:
                               self.base + x * self.coef[:, None], self.v)
             self.it = self.it + ok
             self.fresh = ok
-            self._leave(self._halve(~ok))
+            spent = self.ticks >= MAX_TICKS
+            self.stuck[self.node[spent]] = True
+            self._leave(self._halve(~ok) | spent)
 
     def _predict(self, mask):
         """Queue the Euler predictor from the accepted point u."""
@@ -383,16 +387,13 @@ class _Lockstep:
 
     def _halve(self, mask):
         """A failed step: retry from u with half of it.  Returns the
-        nodes whose step underflowed, now stuck."""
+        nodes that missed at t0, where the step is zero, now stuck."""
         if not mask.any():
             return mask
+        stuck = mask & (self.step == 0.0)
+        self.stuck[self.node[stuck]] = True
         self.dt = np.where(mask, self.step / 2, self.dt)
         self._predict(mask)
-        # Near t = 0 the newborn root is microscopic and legitimately
-        # needs steps below DT_MIN; the underflow trigger is relative to
-        # the distance already travelled.
-        stuck = mask & (self.dt < DT_MIN * np.maximum(self.t, DT_MIN))
-        self.stuck[self.node[stuck]] = True
         return stuck
 
     def _leave(self, mask):
@@ -416,8 +417,9 @@ def newton_polish(classes, target_roots):
     ill-conditioned class coefficient errors near 1e-9.  The noise floor
     excuses a row only while the rounding it stands for moves the root by
     less than half the gap to its nearest neighbour; beyond that the chart
-    cannot tell the class from the next one.  (The staged depths need no
-    cap: the birth after each checks its roots.)
+    cannot tell the class from the next one.  (The staged depths run
+    with no cap: a word whose path slips onto another branch shows up as a
+    duplicate in solve_all's count.)
     """
     chart = classes[0].chart
     rho = np.sort(np.asarray(target_roots, dtype=float))
@@ -475,54 +477,6 @@ def _affine_into_unit(points):
     return alpha, beta
 
 
-def _birth_roots(pair):
-    """Roots of W(pair) / z^order, the ones away from 0, by real part.
-
-    W is poly.wronskian's q1 q2' - q1' q2, term for term; a canonical
-    pair's leading coefficients are nonzero, so none of its general-input
-    trimming applies.
-    """
-    q1, q2 = pair.q1, pair.q2
-    w = np.convolve(q1, q2[1:] * np.arange(1, q2.size))
-    if q1.size > 1:
-        w = w - np.convolve(q1[1:] * np.arange(1, q1.size), q2)
-    body = poly.normalize(w)[pair.order:]
-    r = np.roots(body[::-1])
-    return r[np.argsort(r.real)]
-
-
-def _birth_ok(roots_now, placed, span):
-    """Did apply_F create exactly one new simple real root nearest zero,
-    leaving the placed roots in position?"""
-    m = roots_now.size
-    if m != placed.size + 1:
-        return False
-    if np.abs(roots_now.imag).max(initial=0.0) > 1e-7 * (1.0 + span):
-        return False
-    r = np.sort(roots_now.real)
-    if r[-1] >= 0 or (placed.size and r[-1] <= placed[-1]):
-        return False
-    if placed.size:
-        gaps = np.diff(np.concatenate([placed, [0.0]]))
-        if np.abs(r[:-1] - placed).max() > 0.3 * gaps.min():
-            return False
-    return True
-
-
-def _birth(ch, pair, placed, span):
-    """Fire F^ch on a tracked pair with the first parameter in the
-    schedule BIRTH_RATIO^j that gives a valid birth; returns the new pair
-    and its Wronskian roots away from 0, or None when none does."""
-    a = BIRTH_RATIO
-    for _ in range(BIRTH_RETRIES):
-        cand = apply_F(int(ch), a, pair)
-        born = _birth_roots(cand)
-        if _birth_ok(born, placed, span):
-            return cand, np.sort(born.real)
-        a *= BIRTH_RATIO
-    return None
-
-
 def _build_trie(sigmas, mapped, d, e):
     """Build the classes of the F-words sigmas with Wronskian roots at
     `mapped`, one trie node per prefix, depth by depth.
@@ -531,53 +485,44 @@ def _build_trie(sigmas, mapped, d, e):
     the first word whose build fails, and that word's error or None; later
     words are not built.
     """
-    span = np.abs(mapped).max()
     first = {}                  # prefix -> index of the first word with it
     for i, s in enumerate(sigmas):
         for m in range(len(s) + 1):
             first.setdefault(s[:m], i)
     level = {"": initial_pair(d, e)}    # tracked nodes of the last depth
-    failed = {}                         # prefix -> error class
     cutoff = len(sigmas)                # index of the first failing word
+    step = None                         # and the depth where it failed
     for m in range(1, d + e):
-        born = []
-        for p in sorted({s[:m] for s in sigmas[:cutoff]}, key=first.get):
-            birth = _birth(p[-1], level[p[:-1]], mapped[:m - 1], span)
-            if birth is None:
-                failed[p] = ScheduleExhausted
-                cutoff = first[p]
-                break
-            born.append((p, *birth))
-        if not born:
+        prefixes = sorted({s[:m] for s in sigmas[:cutoff]}, key=first.get)
+        if not prefixes:
             break
+        born = [apply_F(int(p[-1]), 0.0, level[p[:-1]]) for p in prefixes]
         charts = [Chart(base_point=0.0, d=d, k1=c.k1, k2=c.k2, e=e)
-                  for _, c, _ in born]
-        pos = np.array([c.unknowns() for c in charts])
-        U = np.array([_pack(c.q1, c.q2, ch) for (_, c, _), ch
-                      in zip(born, charts)])
-        starts = np.array([roots for _, _, roots in born])
+                  for c in born]
+        pos = np.array([ch.unknowns() for ch in charts])
+        U = np.array([_pack(c.q1, c.q2, ch) for c, ch in zip(born, charts)])
+        # Born at a = 0, W / z^k is z times the parent's: the placed roots
+        # and a newborn one at 0, exactly.
+        starts = np.tile(np.append(mapped[:m - 1], 0.0), (len(born), 1))
         U, stuck = _Lockstep(U, pos, d, e, 0.0, starts, mapped[:m], 0.0,
                              np.inf, RESIDUAL_TOL).run()
         level = {}
-        for (p, c, _), q1, q2, bad in zip(born, *_coefficients(U, pos, d, e,
-                                                               0.0), stuck):
+        for p, c, q1, q2, bad in zip(prefixes, born,
+                                     *_coefficients(U, pos, d, e, 0.0),
+                                     stuck):
             if bad:
-                failed[p] = PathStuck
-                cutoff = min(cutoff, first[p])
+                if first[p] < cutoff:
+                    cutoff, step = first[p], m
             else:
                 level[p] = CanonicalPair(d=d, k1=c.k1, k2=c.k2, q1=q1.copy(),
                                          q2=q2.copy(), sigma=p)
     built = [PairClass(q1=level[s].q1, q2=level[s].q2,
                        chart=Chart(base_point=0.0, d=d, e=e), ballot=s)
              for s in sigmas[:cutoff]]
-    if cutoff == len(sigmas):
+    if step is None:
         return built, None
-    s = sigmas[cutoff]
-    p = next(s[:m] for m in range(1, len(s) + 1) if s[:m] in failed)
-    if failed[p] is ScheduleExhausted:
-        return built, ScheduleExhausted(
-            f"no valid birth parameter at step {len(p)} of {s!r}")
-    return built, PathStuck("staged step size underflow")
+    return built, PathStuck(f"word {sigmas[cutoff]!r}: step {step} did not "
+                            f"reach its target within {MAX_TICKS} ticks")
 
 
 def build_branch(sigma, mapped, d):
@@ -585,9 +530,9 @@ def build_branch(sigma, mapped, d):
 
     The lower degree e is the number of letters 1 in the F-word sigma.
     The one-word trie of _build_trie: after every F-operation the newborn
-    root is immediately continued from its small birth position to the
-    next prescribed root, inside the b(k1, k2) chart whose vanishing
-    pattern pins the remaining root multiplicity at 0.
+    root is immediately continued from 0 to the next prescribed root,
+    inside the b(k1, k2) chart whose vanishing pattern pins the remaining
+    root multiplicity at 0.
     """
     mapped = _staged_targets(mapped)
     built, error = _build_trie([sigma], mapped, d, sigma.count("1"))

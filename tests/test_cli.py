@@ -188,8 +188,7 @@ def test_run_in_process():
 
 
 NUMERICAL_KINDS = {"PathStuck", "CountMismatch", "TraceLost",
-                   "ScheduleExhausted", "ChartDegenerate", "MultipleRoot",
-                   "NotASolution"}
+                   "ChartDegenerate", "MultipleRoot", "NotASolution"}
 
 
 @pytest.mark.parametrize("error", sorted(WronskiError.__subclasses__(),

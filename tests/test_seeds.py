@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wronski import seeds
-from wronski.errors import NonPositiveParameter, NotPermitted
+from wronski.errors import NegativeParameter, NotPermitted
 
 
 def test_initial_pair():
@@ -29,7 +29,7 @@ def test_apply_F_errors():
     p = seeds.initial_pair(3)
     with pytest.raises(NotPermitted):
         seeds.apply_F(2, 0.1, p)
-    with pytest.raises(NonPositiveParameter):
+    with pytest.raises(NegativeParameter):
         seeds.apply_F(1, -1.0, p)
 
 
@@ -39,10 +39,3 @@ def test_apply_F_drops_exponent_and_keeps_monic():
     assert (q.k1, q.k2) == (1, 3)
     assert q.q1[1] == 0.25 and q.q1[2] == 1.0
 
-
-def test_lowest_coeff_formula():
-    p = seeds.apply_F(1, 0.3, seeds.initial_pair(3))
-    w = p.wronskian()
-    k = p.order
-    assert w[k] == pytest.approx(seeds.lowest_coeff(p))
-    assert seeds.lowest_coeff(p) == pytest.approx((p.k2 - p.k1) * 1.0 * 0.3)

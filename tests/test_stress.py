@@ -1,4 +1,4 @@
-"""solve_all over seeded point sets of three kinds at d = 4, 5 and 6.
+"""solve_all over seeded point sets of three kinds at d = 4 to 7.
 
 Every set must give catalan(d) classes (a path that jumps to another
 branch raises CountMismatch), each with a backward error of at most 1e-10.
@@ -15,7 +15,7 @@ from numpy.polynomial import polynomial as P
 
 from wronski import tracker
 from wronski.combinat import catalan
-from wronski.errors import ScheduleExhausted
+from wronski.errors import WronskiError
 
 LO, HI = -5.0, 5.0
 BACKWARD_TOL = 1e-10
@@ -46,14 +46,8 @@ def _clustered(rng, n):
 KINDS = {"uniform": _uniform, "close-pair": _close_pair,
          "clustered": _clustered}
 CASES = [(kind, d, seed) for kind in KINDS for d in (4, 5, 6)
-         for seed in range(1, 6)]
-# At d = 6 the birth search on clustered points can find no parameter
-# that leaves a placed close pair real: their companion roots come back as
-# a complex pair (ROADMAP, births in Lagrange form).  Which set fails turns
-# on the last bits of the tracked pair, so the mark names the stratum, and
-# only that error; a path jump still fails the test.
-NO_BIRTH = pytest.mark.xfail(raises=ScheduleExhausted, strict=False,
-                             reason="companion roots of a placed close pair")
+         for seed in range(1, 6)] \
+    + [(kind, 7, seed) for kind in KINDS for seed in (1, 2)]
 
 
 def _errors(q1, q2, pts):
@@ -73,9 +67,7 @@ def stress_points(kind, d, seed):
 
 
 @pytest.mark.parametrize("kind, d, seed", [
-    pytest.param(*case, id="{}-d{}-s{}".format(*case),
-                 marks=[NO_BIRTH] if case[:2] == ("clustered", 6) else [])
-    for case in CASES])
+    pytest.param(*case, id="{}-d{}-s{}".format(*case)) for case in CASES])
 def test_solve_all_stress(kind, d, seed):
     pts = stress_points(kind, d, seed)
     classes = tracker.solve_all(pts, d)
@@ -93,7 +85,7 @@ if __name__ == "__main__":
         pts = stress_points(kind, d, seed)
         try:
             classes = tracker.solve_all(pts, d)
-        except ScheduleExhausted as exc:
+        except WronskiError as exc:
             print(f"{kind:10s} d={d} seed={seed} {type(exc).__name__}")
             continue
         errs = [_errors(pc.q1, pc.q2, pts) for pc in classes]

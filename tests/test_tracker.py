@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from wronski import poly, tracker
 from wronski.combinat import ballot_sequences, catalan
 from wronski.errors import ChartDegenerate, PathStuck
-from wronski.seeds import initial_pair
+from wronski.seeds import apply_F, initial_pair
 from wronski.tracker import Chart, PairClass
 
 
@@ -142,28 +144,26 @@ def test_one_birth_per_trie_node(monkeypatch, d, e, nodes):
     prefixes = {w[:m] for w in words for m in range(1, len(w) + 1)}
     assert len(prefixes) == nodes
     births = []
-    birth_ok = tracker._birth_ok
 
-    def counted(*args):
-        ok = birth_ok(*args)
-        births.append(ok)
-        return ok
+    def counted(i, a, pair):
+        births.append(a)
+        return apply_F(i, a, pair)
 
-    monkeypatch.setattr(tracker, "_birth_ok", counted)
+    monkeypatch.setattr(tracker, "apply_F", counted)
     tracker.solve_all(_uniform_points(np.random.default_rng(1), d + e - 1),
                       d, e)
-    assert sum(births) == nodes
+    assert births == [0.0] * nodes
 
 
 def _first_stage_stack(n):
     """A lockstep stack of n copies of the first stage of d = 3."""
     mapped = np.array([-0.9, -0.6, -0.3, -0.1])
-    cand, start = tracker._birth("1", initial_pair(3), mapped[:0], 0.9)
-    chart = Chart(base_point=0.0, d=3, k1=cand.k1, k2=cand.k2)
-    u = tracker._pack(cand.q1, cand.q2, chart)
+    born = apply_F(1, 0.0, initial_pair(3))
+    chart = Chart(base_point=0.0, d=3, k1=born.k1, k2=born.k2)
+    u = tracker._pack(born.q1, born.q2, chart)
     return tracker._Lockstep(np.tile(u, (n, 1)),
                              np.tile(chart.unknowns(), (n, 1)), 3, 2, 0.0,
-                             np.tile(start, (n, 1)), mapped[:1], 0.0, np.inf,
+                             np.zeros((n, 1)), mapped[:1], 0.0, np.inf,
                              tracker.RESIDUAL_TOL)
 
 
@@ -230,12 +230,65 @@ def test_lockstep_node_stuck_in_newton_leaves_the_stack():
     assert lock.fresh.all()
     lock.v[1] += 1.0                # node 1 misses its last Newton step
     lock.it[1] = tracker.MAX_NEWTON
-    lock.step[1] = 1e-20            # and halving it underflows
+    lock.ticks[1] = tracker.MAX_TICKS - 1   # in its last tick
     lock.tick()
     assert list(lock.node) == [0, 2]
     final, stuck = lock.run()
     assert list(stuck) == [False, True, False]
     assert np.array_equal(final[[0, 2]], np.tile(alone[0], (2, 1)))
+
+
+def test_lockstep_node_that_never_converges_stops_at_the_tick_budget():
+    lock = _first_stage_stack(1)
+    lock.tick()                     # the start is accepted
+    lock.tol, lock.cap = -1.0, np.full_like(lock.cap, -1.0)
+    for _ in range(tracker.MAX_TICKS - 2):
+        lock.tick()
+    assert list(lock.node) == [0] and lock.step[0] > 0.0
+    lock.tick()
+    assert lock.node.size == 0 and lock.stuck[0]
+
+
+def _packed_left(rng):
+    """d = 5: three pairs 1e-4 to 1e-3 apart crowded 0.05 to 0.3 apart at
+    the left end of [-5, 5], and one pair at the far right."""
+    centres = np.append(-5.0 + np.cumsum([0.0, *rng.uniform(0.05, 0.3, 2)]),
+                        rng.uniform(3.0, 5.0))
+    gaps = 10.0 ** rng.uniform(-4.0, -3.0, 4)
+    return np.sort(np.concatenate([centres - gaps / 2, centres + gaps / 2]))
+
+
+def test_packed_left_build_spends_its_budget_and_stops(monkeypatch):
+    # Nodes of the crowded first word keep halving their steps until the
+    # tick budget stops them, so the solve fails quickly.
+    rows, calls = tracker._stacked_rows, []
+
+    def counted(*args):
+        calls.append(1)
+        return rows(*args)
+
+    monkeypatch.setattr(tracker, "_stacked_rows", counted)
+    with pytest.raises(PathStuck, match="word '11112222': step"):
+        tracker.solve_all(_packed_left(np.random.default_rng(1)), 5)
+    assert len(calls) <= 600
+
+
+def test_stuck_build_names_the_first_failing_word_and_step(monkeypatch):
+    # The node of prefix 1121 cannot start: the first word through it, the
+    # second word in order, is named, and only the first word is built.
+    def poisoned(i, a, pair):
+        born = apply_F(i, a, pair)
+        if pair.sigma + str(i) == "1121":
+            born = replace(born, q1=np.full_like(born.q1, np.nan))
+        return born
+
+    monkeypatch.setattr(tracker, "apply_F", poisoned)
+    words = ballot_sequences(4)
+    built, error = tracker._build_trie(
+        words, np.linspace(-0.9, -0.1, 6), 4, 3)
+    assert [pc.ballot for pc in built] == words[:1]
+    assert str(error) == (f"word {words[1]!r}: step 4 did not reach its "
+                          f"target within {tracker.MAX_TICKS} ticks")
 
 
 def test_stacked_solves_fall_back_one_by_one(monkeypatch):
