@@ -41,10 +41,12 @@ def _vec(v):
 
 def _class_doc(pc, points):
     points = np.sort(points)
+    # W's computed roots only report the solver's accuracy; the residues
+    # are taken at the given points, the equation's singular points.
     w_roots = np.sort(pc.wronskian_roots().real)
-    x = fuchs.residues((pc.q1, pc.q2), w_roots)
-    _, _, s = fuchs.prop6_check(x, w_roots)
-    net = nets.net_from_ballot(pc.ballot, w_roots)
+    x = fuchs.residues((pc.q1, pc.q2), points)
+    _, _, s = fuchs.prop6_check(x, points)
+    net = nets.net_from_ballot(pc.ballot, points)
     return {
         "ballot": pc.ballot,
         "chart_base": _round(pc.chart.base_point),
@@ -159,8 +161,8 @@ def cmd_verify(args):
     for pc in classes:
         w_roots = np.sort(pc.wronskian_roots().real)
         max_res = max(max_res, float(np.abs(w_roots - pts).max()))
-        x = fuchs.residues((pc.q1, pc.q2), w_roots)
-        lo, hi = fuchs.polynomial_solutions(w_roots, x)
+        x = fuchs.residues((pc.q1, pc.q2), pts)
+        lo, hi = fuchs.polynomial_solutions(pts, x)
         if not poly.span_equivalent((lo, hi), (pc.q1, pc.q2), tol=1e-6):
             round_trip = False
     traced = [nets.trace_net(pc).matching for pc in classes]
@@ -246,11 +248,9 @@ def build_parser():
     p.add_argument("--content", type=lambda s: tuple(
         int(t) for t in s.split(",") if t.strip()), default=None)
     # Accepted and ignored, so that command lines written for the former
-    # random chart base (--seed), random multistart (--starts) and
-    # per-branch worker processes (--jobs) still run.
+    # random chart base (--seed) and random multistart (--starts) still run.
     p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     p.add_argument("--starts", type=int, help=argparse.SUPPRESS)
-    p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     p.add_argument("--json", dest="json_path", default=None)
     p.add_argument("--svg", default=None)
     p.add_argument("--csv", default=None)

@@ -51,10 +51,6 @@ class CountMismatch(WronskiError):
         self.branch_logs = branch_logs or []
 
 
-class MultipleRoot(WronskiError):
-    numerical = True
-
-
 class DuplicatePoints(WronskiError):
     pass
 

@@ -2,8 +2,10 @@
 
 A pair (y1, y2) spanning a class satisfies a second order equation
 A y'' + B y' + C y = 0 with A = W(y1, y2), B = -A', C = W(y1', y2').
-The residues x_k of Q = C/A at the roots a_k of A solve the quadratic
-rational system
+Its singular points are the roots a_k of A, which are the prescribed
+critical points, so residues evaluates x_k = C(a_k)/A'(a_k) at the given
+points rather than at computed roots of A.  The residues x_k of Q = C/A
+solve the quadratic rational system
 
     x_k^2 = sum_{j != k} (x_j - x_k) / (a_j - a_k),
 
@@ -14,7 +16,9 @@ The solutions split into sectors by the lower degree e <= n/2 of the
 class, with s = n + 1 - 2e; sector e holds C(n, e) - C(n, e-1) of them.
 bethe_solve takes each sector's classes from the homotopy solver
 (tracker.solve_all with degrees (e, n + 1 - e)) and reads off their
-residues, so it is deterministic and complete or raises.
+residues, so it is deterministic and complete or raises.  A solution
+is accepted when its residual is small relative to the size of the terms
+it sums, since residues grow like 1/gap when points cluster.
 """
 
 from dataclasses import dataclass
@@ -23,16 +27,7 @@ import numpy as np
 
 from . import poly
 from .errors import (DegeneratePair, DuplicatePoints, LengthMismatch,
-                     MultipleRoot, NegativeDiscriminant, NotASolution)
-
-
-@dataclass(frozen=True)
-class FuchsianData:
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    a: np.ndarray
-    x: np.ndarray
+                     NegativeDiscriminant, NotASolution)
 
 
 @dataclass(frozen=True)
@@ -44,43 +39,36 @@ class BetheSolution:
     degrees: tuple
 
 
-def _simple_real_roots(A):
-    r = poly.roots(A)
-    if np.abs(r.imag).max(initial=0.0) > 1e-8 * (1 + np.abs(r).max(initial=0.0)):
-        raise MultipleRoot("coefficient polynomial has non-real roots")
-    a = np.sort(r.real)
-    if a.size > 1:
-        scale = 1 + np.abs(a).max()
-        if np.diff(a).min() < 1e-8 * scale:
-            raise MultipleRoot("coefficient polynomial has a root cluster")
-    return a
-
-
 def ode_from_pair(pair):
-    """Second-order equation A y'' + B y' + C y = 0 satisfied by a pair."""
+    """(A, B, C) of the equation A y'' + B y' + C y = 0 satisfied by a
+    pair."""
     y1, y2 = (poly.as_poly(p) for p in pair)
     if not poly.pair_independent(y1, y2):
         raise DegeneratePair("pair does not span a 2-dimensional space")
     A = poly.wronskian(y1, y2)
-    B = -poly.derivative(A)
-    C = poly.wronskian(poly.derivative(y1), poly.derivative(y2))
-    a = _simple_real_roots(A)
-    Ap = poly.derivative(A)
-    x = np.real(poly.polyval(C, a) / poly.polyval(Ap, a))
-    # Residues of P = B/A are -1 at every simple root of A.
-    p_res = poly.polyval(B, a) / poly.polyval(Ap, a)
-    if np.abs(p_res + 1.0).max(initial=0.0) > 1e-8:
-        raise MultipleRoot("residues of B/A differ from -1")
-    return FuchsianData(A=A, B=B, C=C, a=a, x=x)
+    return A, -poly.derivative(A), poly.wronskian(poly.derivative(y1),
+                                                  poly.derivative(y2))
 
 
 def residues(pair, a):
-    """Residues x_k of C/A at the prescribed singular points a."""
-    data = ode_from_pair(pair)
+    """Residues x_k = C(a_k)/A'(a_k) of C/A at the given singular points,
+    in ascending order of a.
+
+    The points must be the roots of A = W(y1, y2): one per degree, and
+    |A(a_k)| at most 1e-8 times the magnitude of the terms it sums,
+    (|y1| |y2'| + |y1'| |y2|)(|a_k|).
+    """
+    y1, y2 = (poly.as_poly(p) for p in pair)
+    A, B, C = ode_from_pair((y1, y2))
     a = np.sort(np.asarray(a, dtype=float))
-    if a.size != data.a.size or np.abs(a - data.a).max() > 1e-8 * (1 + np.abs(a).max()):
-        raise MultipleRoot("points do not match the Wronskian roots")
-    return data.x
+    if a.size != poly.degree(A):
+        raise LengthMismatch("need one point per root of the Wronskian")
+    terms = poly.polyadd(poly.polymul(abs(y1), abs(poly.derivative(y2))),
+                         poly.polymul(abs(poly.derivative(y1)), abs(y2)))
+    if np.any(np.abs(poly.polyval(A, a))
+              > 1e-8 * poly.polyval(terms, np.abs(a))):
+        raise NotASolution("points are not roots of the Wronskian")
+    return poly.polyval(C, a) / poly.polyval(-B, a)  # -B = A'
 
 
 def bethe_residual(x, a):
@@ -112,8 +100,20 @@ def prop6_check(x, a):
     return total, qstar, float(np.sqrt(max(disc, 0.0)))
 
 
+def _term_size(x, a):
+    """Size of the terms that each Bethe residual component and the sum of
+    x add up: x_k^2 + sum_j (|x_j| + |x_k|) / |a_j - a_k|, then sum |x_k|.
+    Rounding alone leaves about eps times that, however large x grows."""
+    ax = np.abs(x)
+    gaps = np.abs(a[None, :] - a[:, None])
+    np.fill_diagonal(gaps, np.inf)
+    return np.append(x ** 2 + ((ax[None, :] + ax[:, None]) / gaps).sum(axis=1),
+                     ax.sum())
+
+
 def _refine(x, a, iters=50):
-    """Polish one candidate with the sum-augmented Gauss-Newton step."""
+    """Polish one candidate with the sum-augmented Gauss-Newton step, until
+    its defect is within 1e-14 of _term_size."""
     n = a.size
     diff = a[None, :] - a[:, None]
     np.fill_diagonal(diff, np.inf)
@@ -121,13 +121,14 @@ def _refine(x, a, iters=50):
     x = np.asarray(x, dtype=float).copy()
     J = np.empty((n + 1, n))
     for _ in range(iters):
-        F = np.concatenate([bethe_residual(x, a), [x.sum()]])
+        F = np.append(bethe_residual(x, a), x.sum())
+        done = np.all(np.abs(F) <= 1e-14 * _term_size(x, a))
         J[:n, :] = -inv
         J[np.arange(n), np.arange(n)] = 2 * x + inv.sum(axis=1)
         J[n, :] = 1.0
         step, *_ = np.linalg.lstsq(J, F, rcond=None)
         x = x - step
-        if np.abs(F).max() < 1e-14:
+        if done:
             break
     return x
 
@@ -137,7 +138,8 @@ def bethe_sector(a, e):
 
     Each class of degrees (e, n + 1 - e) with Wronskian roots a gives its
     residues, polished by _refine; raises NotASolution, naming the sector
-    and the F-word, when one misses the residual, sum or s check.
+    and the F-word, when one misses the s check or the residual and sum
+    check, which allows 1e-9 of _term_size.
     """
     from . import tracker
     a = np.sort(np.asarray(a, dtype=float))
@@ -148,8 +150,9 @@ def bethe_sector(a, e):
         # + 0.0 turns the -0.0 of a zero residue over a negative A'(a_k)
         # into 0.0
         x = _refine(residues((cls.q1, cls.q2), a), a) + 0.0
-        total, qstar, s = prop6_check(x, a)
-        if np.abs(bethe_residual(x, a)).max() > 1e-9 or abs(total) > 1e-9 \
+        _, qstar, s = prop6_check(x, a)
+        F = np.append(bethe_residual(x, a), x.sum())
+        if np.any(np.abs(F) > 1e-9 * _term_size(x, a)) \
                 or abs(s - (d - e)) > 1e-6:
             raise NotASolution(f"sector e={e}, word {cls.ballot}: residues "
                                "fail the Bethe check")

@@ -8,7 +8,10 @@ distinguished rightmost vertex this matching determines the class.
 
 Tracing works on the real function phi(z) = Im(q1(z) * conj(q2(z))),
 whose zero set away from the real axis is exactly Im g = 0 -- this avoids
-any special handling of poles of g along the curve.
+any special handling of poles of g along the curve.  Steps shrink near
+the vertices, and an arc lands on a vertex within 0.05 times the smallest
+gap between vertices, so that a pair of critical points closer together
+than the step still gets two arcs of its own.
 """
 
 from dataclasses import dataclass, field
@@ -20,17 +23,14 @@ from .combinat import ballot_to_matching, is_noncrossing
 from .errors import (IndexOutOfRange, LengthMismatch, NonRealInput,
                      TraceLost, ZeroPolynomial)
 
-@dataclass(frozen=True)
-class TraceOptions:
-    step: float = 1e-2
-    shrink: float = 0.5
-    vertex_capture_radius: float = 1e-4
-    max_steps: int = 100000
-
-    def __post_init__(self):
-        if min(self.step, self.shrink, self.vertex_capture_radius,
-               self.max_steps) <= 0:
-            raise ValueError("trace options must be positive")
+# Largest step, per unit of 1 + max|vertex|; factor of a step that the
+# corrector threw off the curve; steps per arc.
+STEP = 1e-2
+SHRINK = 0.5
+MAX_STEPS = 100000
+# An arc lands on a vertex within CAPTURE times the smallest gap between
+# vertices, once it has been ten times that far from its start.
+CAPTURE = 0.05
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def _correct(polys, z, scale):
     return z
 
 
-def _trace_arc(q1, q2, start, vertices, opts, upward=True):
+def _trace_arc(q1, q2, start, vertices, upward=True):
     """Follow the level curve leaving `start` vertically, return
     (endpoint vertex index, polyline)."""
     polys = tuple(tuple(float(c) for c in p) for p in
@@ -91,10 +91,11 @@ def _trace_arc(q1, q2, start, vertices, opts, upward=True):
     z = start + sign * 1j * delta
     pts = [complex(start), z]
     tangent_prev = sign * 1j
-    h = opts.step * scale
+    h = STEP * scale
     min_h = 1e-7 * scale
+    capture = CAPTURE * np.diff(vertices).min()
     launched = False
-    for _ in range(opts.max_steps):
+    for _ in range(MAX_STEPS):
         _, grad = _phi_and_gradient(polys, z)
         if grad == 0.0:
             raise TraceLost("level curve tangent vanished")
@@ -107,7 +108,7 @@ def _trace_arc(q1, q2, start, vertices, opts, upward=True):
         z_new = _correct(polys, z + step * t, scale)
         # reject correction blow-ups by halving the step
         while abs(z_new - z) > 3 * step and step > min_h:
-            step *= opts.shrink
+            step *= SHRINK
             z_new = _correct(polys, z + step * t, scale)
         tangent_prev = t
         z = z_new
@@ -115,17 +116,17 @@ def _trace_arc(q1, q2, start, vertices, opts, upward=True):
         if abs(z) > R:
             raise TraceLost("curve left the bounding box")
         if not launched:
-            if abs(z - start) > 10 * opts.vertex_capture_radius * scale:
+            if abs(z - start) > 10 * capture:
                 launched = True
             continue
         k = int(np.argmin(np.abs(z - vertices)))
-        if abs(z - vertices[k]) < opts.vertex_capture_radius * scale:
+        if abs(z - vertices[k]) < capture:
             pts.append(complex(vertices[k]))
             return k, np.array(pts)
     raise TraceLost("step budget exhausted before landing")
 
 
-def trace_net(pc, opts=TraceOptions(), upward=True):
+def trace_net(pc, upward=True):
     """Trace all upper-half-plane arcs of a real class."""
     coeffs = np.concatenate([pc.q1, pc.q2])
     if np.abs(coeffs.imag).max() > 1e-8 * np.abs(coeffs).max():
@@ -143,7 +144,7 @@ def trace_net(pc, opts=TraceOptions(), upward=True):
     ends = {}
     arcs = {}
     for i, x in enumerate(vertices):
-        k, pts = _trace_arc(q1, q2, x, vertices, opts, upward=upward)
+        k, pts = _trace_arc(q1, q2, x, vertices, upward=upward)
         ends[i] = k
         arcs[i] = pts
     pairs = set()

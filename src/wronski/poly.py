@@ -111,14 +111,13 @@ def real_roots(c, imag_tol=1e-8):
 
 
 def compose_affine(c, alpha, beta):
-    """Coefficients of p(alpha*z + beta)."""
+    """Coefficients of p(alpha*z + beta), by Horner's rule: each step
+    multiplies the partial result by alpha*z + beta in place."""
     a = as_poly(c)
-    out = np.zeros(1, dtype=a.dtype)
-    pw = np.ones(1, dtype=a.dtype)
-    lin = np.array([beta, alpha], dtype=a.dtype)
-    for ck in a:
-        out = P.polyadd(out, ck * pw)
-        pw = P.polymul(pw, lin)
+    out = np.zeros(a.size, dtype=a.dtype)
+    for ck in a[::-1]:
+        out[1:] = beta * out[1:] + alpha * out[:-1]
+        out[0] = beta * out[0] + ck
     return normalize(out)
 
 

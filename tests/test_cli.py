@@ -162,9 +162,8 @@ def test_json_file_output(tmp_path):
 
 
 def test_jobs_flag():
-    code, out = run_cli("solve", "--points", "-2,-1,1,2", "--jobs", "2")
-    assert code == 0
-    assert len(json.loads(out)["classes"]) == 2
+    code, _ = run_cli("solve", "--points", "-2,-1,1,2", "--jobs", "2")
+    assert code == 2
 
 
 @pytest.mark.parametrize("args", [
@@ -188,7 +187,7 @@ def test_run_in_process():
 
 
 NUMERICAL_KINDS = {"PathStuck", "CountMismatch", "TraceLost",
-                   "ChartDegenerate", "MultipleRoot", "NotASolution"}
+                   "ChartDegenerate", "NotASolution"}
 
 
 @pytest.mark.parametrize("error", sorted(WronskiError.__subclasses__(),

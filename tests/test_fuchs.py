@@ -15,23 +15,34 @@ CUBIC = np.array([0.0, -3.0, 0.0, 1.0])  # z^3 - 3z
 
 
 def test_ode_from_pair_legendre_like():
-    data = fuchs.ode_from_pair((Z, Z2P1))
-    assert np.allclose(data.A, [-1, 0, 1])
-    assert np.allclose(data.B, [0, -2])
-    assert np.allclose(poly.normalize(data.C), [2])
-    assert np.allclose(data.a, [-1, 1])
-    assert np.allclose(data.x, [-1, 1])
+    A, B, C = fuchs.ode_from_pair((Z, Z2P1))
+    assert np.allclose(A, [-1, 0, 1])
+    assert np.allclose(B, [0, -2])
+    assert np.allclose(poly.normalize(C), [2])
+    assert np.allclose(fuchs.residues((Z, Z2P1), [1, -1]), [-1, 1])
 
 
 def test_ode_from_pair_constant_second():
-    data = fuchs.ode_from_pair((CUBIC, np.array([1.0])))
-    assert poly.is_zero(data.C)
-    assert np.allclose(data.x, [0, 0])
+    A, B, C = fuchs.ode_from_pair((CUBIC, np.array([1.0])))
+    assert np.allclose(A, [3, 0, -3])
+    assert np.allclose(B, [0, 6])
+    assert poly.is_zero(C)
+    assert np.allclose(fuchs.residues((CUBIC, np.array([1.0])), [-1, 1]),
+                       [0, 0])
 
 
 def test_ode_from_pair_rejects_dependent():
     with pytest.raises(DegeneratePair):
         fuchs.ode_from_pair((Z, 2 * Z))
+
+
+def test_residues_reject_points_that_are_not_roots():
+    with pytest.raises(NotASolution):
+        fuchs.residues((Z, Z2P1), [-1, 1 + 1e-6])
+    with pytest.raises(LengthMismatch):
+        fuchs.residues((Z, Z2P1), [-1, 0, 1])
+    with pytest.raises(LengthMismatch):
+        fuchs.residues((Z, Z2P1), [1])
 
 
 def test_residues_scale_invariant():

@@ -119,11 +119,6 @@ def test_mirror_symmetry():
             assert min(p.imag for p in down.arcs[key]) <= 0
 
 
-def test_trace_options_validate():
-    with pytest.raises(ValueError):
-        nets.TraceOptions(step=-1.0)
-
-
 def test_arcs_exported_as_polylines():
     net = nets.trace_net(_pc([0, 1], [1, 0, 1], 2))
     arc = net.arcs[(1, 2)]

@@ -7,13 +7,21 @@ On uniform and close-pair points every Wronskian root must also lie within
 apart, are checked only backwards: their roots are ill-conditioned in the
 monomial coefficients, so a class accurate to rounding can still miss the
 root bound.
+
+The `bethe` and `net` commands must also run on clustered sets at d = 4
+and 5, with every sector's count of Bethe solutions and every traced net
+as its word predicts.
 """
+
+import json
+from collections import Counter
+from math import comb
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from wronski import tracker
+from wronski import cli, nets, tracker
 from wronski.combinat import catalan
 from wronski.errors import WronskiError
 
@@ -77,6 +85,25 @@ def test_solve_all_stress(kind, d, seed):
         assert backward <= BACKWARD_TOL, pc.ballot
         if kind != "clustered":
             assert forward <= ROOT_TOL, pc.ballot
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_clustered_bethe_and_net_commands(d):
+    pts = stress_points("clustered", d, 1)
+    arg = ",".join(repr(float(p)) for p in pts)
+    n = pts.size
+    code, text = cli.run(["bethe", "--points", arg])
+    assert code == 0, text
+    assert Counter(sol["s"] for sol in json.loads(text)["solutions"]) == {
+        n + 1 - 2 * e: comb(n, e) - (comb(n, e - 1) if e else 0)
+        for e in range(n // 2 + 1)}
+    code, text = cli.run(["net", "--points", arg])
+    assert code == 0, text
+    traced = json.loads(text)["nets"]
+    assert len(traced) == catalan(d)
+    for net in traced:
+        predicted = nets.net_from_ballot(net["ballot"], pts).matching
+        assert net["matching"] == sorted(list(p) for p in predicted)
 
 
 if __name__ == "__main__":
