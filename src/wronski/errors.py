@@ -46,10 +46,6 @@ class PathStuck(WronskiError):
 class CountMismatch(WronskiError):
     numerical = True
 
-    def __init__(self, message, branch_logs=None):
-        super().__init__(message)
-        self.branch_logs = branch_logs or []
-
 
 class DuplicatePoints(WronskiError):
     pass

@@ -39,6 +39,10 @@ the class solve_all gives it.  The finished words are renormalized into
 the chart b(0, 1) at a base point away from the critical points, chosen
 by a fixed rule, and polished there down to the noise floor as one stack
 that only corrects, at t = 1 (_polish).
+
+The count is checked last.  W(q1, q2) is prescribed, so the span's monic
+member q1 of degree e fixes the class, (q2 / q1)' = W / q1^2: a word whose
+path slipped onto another branch ends with another word's q1.
 """
 
 from dataclasses import dataclass
@@ -418,8 +422,8 @@ def newton_polish(classes, target_roots):
     excuses a row only while the rounding it stands for moves the root by
     less than half the gap to its nearest neighbour; beyond that the chart
     cannot tell the class from the next one.  (The staged depths run
-    with no cap: a word whose path slips onto another branch shows up as a
-    duplicate in solve_all's count.)
+    with no cap: a word whose path slips onto another branch shows up in
+    solve_all's count as a second word with the same q1.)
     """
     chart = classes[0].chart
     rho = np.sort(np.asarray(target_roots, dtype=float))
@@ -458,10 +462,12 @@ def to_chart(f1, f2, chart):
             or abs(g2[d]) < 1e-9 * np.abs(g2).max():
         raise ChartDegenerate("no monic degree-d representative vanishes here")
     g2 = g2 / g2[d]
-    # Complementary element of degree exactly e.
-    h = a if abs(v1) <= abs(v2) else b
+    # Complement of degree exactly e, from the element with the larger value
+    # at the base point: one that vanishes there is a multiple of g2.
+    h = a if abs(v1) >= abs(v2) else b
     g1 = h - h[d] * g2
-    if np.abs(g1[e + 1:]).max(initial=0.0) > 1e-9 * np.abs(g1).max() \
+    if np.abs(g1).max() == 0.0 \
+            or np.abs(g1[e + 1:]).max(initial=0.0) > 1e-9 * np.abs(g1).max() \
             or abs(g1[e]) < 1e-9 * np.abs(g1).max():
         raise ChartDegenerate("no monic degree-e complement here")
     g1 = g1 / g1[e]
@@ -478,24 +484,14 @@ def _affine_into_unit(points):
 
 
 def _build_trie(sigmas, mapped, d, e):
-    """Build the classes of the F-words sigmas with Wronskian roots at
-    `mapped`, one trie node per prefix, depth by depth.
-
-    Returns the classes, in the chart b(0, 1) at 0, of the words before
-    the first word whose build fails, and that word's error or None; later
-    words are not built.
+    """Build the classes of the lexicographic F-words sigmas with Wronskian
+    roots at `mapped`, one trie node per prefix, depth by depth, in the
+    chart b(0, 1) at 0.  Raises PathStuck at the first depth where a node
+    sticks, naming the first word through a stuck node.
     """
-    first = {}                  # prefix -> index of the first word with it
-    for i, s in enumerate(sigmas):
-        for m in range(len(s) + 1):
-            first.setdefault(s[:m], i)
     level = {"": initial_pair(d, e)}    # tracked nodes of the last depth
-    cutoff = len(sigmas)                # index of the first failing word
-    step = None                         # and the depth where it failed
     for m in range(1, d + e):
-        prefixes = sorted({s[:m] for s in sigmas[:cutoff]}, key=first.get)
-        if not prefixes:
-            break
+        prefixes = sorted({s[:m] for s in sigmas})
         born = [apply_F(int(p[-1]), 0.0, level[p[:-1]]) for p in prefixes]
         charts = [Chart(base_point=0.0, d=d, k1=c.k1, k2=c.k2, e=e)
                   for c in born]
@@ -506,23 +502,18 @@ def _build_trie(sigmas, mapped, d, e):
         starts = np.tile(np.append(mapped[:m - 1], 0.0), (len(born), 1))
         U, stuck = _Lockstep(U, pos, d, e, 0.0, starts, mapped[:m], 0.0,
                              np.inf, RESIDUAL_TOL).run()
-        level = {}
-        for p, c, q1, q2, bad in zip(prefixes, born,
-                                     *_coefficients(U, pos, d, e, 0.0),
-                                     stuck):
-            if bad:
-                if first[p] < cutoff:
-                    cutoff, step = first[p], m
-            else:
-                level[p] = CanonicalPair(d=d, k1=c.k1, k2=c.k2, q1=q1.copy(),
-                                         q2=q2.copy(), sigma=p)
-    built = [PairClass(q1=level[s].q1, q2=level[s].q2,
-                       chart=Chart(base_point=0.0, d=d, e=e), ballot=s)
-             for s in sigmas[:cutoff]]
-    if step is None:
-        return built, None
-    return built, PathStuck(f"word {sigmas[cutoff]!r}: step {step} did not "
-                            f"reach its target within {MAX_TICKS} ticks")
+        if stuck.any():
+            p = prefixes[stuck.argmax()]
+            word = next(s for s in sigmas if s.startswith(p))
+            raise PathStuck(f"word {word!r}: step {m} did not reach its "
+                            f"target within {MAX_TICKS} ticks")
+        level = {p: CanonicalPair(d=d, k1=c.k1, k2=c.k2, q1=q1.copy(),
+                                  q2=q2.copy(), sigma=p)
+                 for p, c, q1, q2 in zip(prefixes, born,
+                                         *_coefficients(U, pos, d, e, 0.0))}
+    return [PairClass(q1=level[s].q1, q2=level[s].q2,
+                      chart=Chart(base_point=0.0, d=d, e=e), ballot=s)
+            for s in sigmas]
 
 
 def build_branch(sigma, mapped, d):
@@ -534,11 +525,8 @@ def build_branch(sigma, mapped, d):
     inside the b(k1, k2) chart whose vanishing pattern pins the remaining
     root multiplicity at 0.
     """
-    mapped = _staged_targets(mapped)
-    built, error = _build_trie([sigma], mapped, d, sigma.count("1"))
-    if error:
-        raise error
-    return built[0]
+    return _build_trie([sigma], _staged_targets(mapped), d,
+                       sigma.count("1"))[0]
 
 
 def _staged_targets(mapped):
@@ -589,24 +577,16 @@ def _polish(built, points, alpha, beta):
     return classes
 
 
-def solve_branch(sigma, points, d):
-    """Build one F-word branch and carry it to the given points."""
-    points = np.sort(np.asarray(points, dtype=float))
-    alpha, beta = _affine_into_unit(points)
-    tracked = build_branch(sigma, alpha * points + beta, d)
-    return _polish([tracked], points, alpha, beta)[0]
-
-
 def solve_all(points, d, e=None):
     """All classes of real pairs of degrees (e, d) whose Wronskian vanishes
     exactly at the n = d+e-1 points; by default e = d-1, the classes of
     degree-d rational functions critical exactly at points.
 
     Returns one class per F-word, C(n, e) - C(n, e-1) of them (catalan(d)
-    at the default), sorted by word; raises CountMismatch if deduplication
-    does not yield exactly that many.  The words are built together on
-    their trie and polished together (_polish); the first word, in order,
-    whose build or polish fails raises its error.
+    at the default), in word order.  The words are built together on their
+    trie and polished together (_polish); the first word, in order, whose
+    build or polish fails raises its error.  CountMismatch names two words
+    that end with the same q1, which fixes the class.
     """
     e = d - 1 if e is None else e
     points = np.asarray(points, dtype=float)
@@ -619,21 +599,15 @@ def solve_all(points, d, e=None):
     sigmas = ballot_sequences(d, e)
     points = np.sort(points)
     alpha, beta = _affine_into_unit(points)
-    built, error = _build_trie(sigmas, _staged_targets(alpha * points + beta),
-                               d, e)
+    built = _build_trie(sigmas, _staged_targets(alpha * points + beta), d, e)
     classes = _polish(built, points, alpha, beta)
-    if error:
-        raise error
-    logs = []
-    distinct = []
-    for pc in classes:
-        dup = next((q for q in distinct if poly.span_equivalent(
-            (pc.q1, pc.q2), (q.q1, q.q2), tol=1e-6)), None)
-        if dup is None:
-            distinct.append(pc)
-        else:
-            logs.append(f"branch {pc.ballot} duplicates {dup.ballot}")
-    if len(distinct) != len(sigmas):
-        raise CountMismatch(
-            f"expected {len(sigmas)} classes, got {len(distinct)}", logs)
-    return sorted(distinct, key=lambda pc: pc.ballot)
+    # Two words are one class when their q1 agree to 1e-6, relatively.
+    q1 = np.array([pc.q1 for pc in classes])
+    size = np.abs(q1).max(axis=1)
+    for i, pc in enumerate(classes):
+        same = np.abs(q1[i + 1:] - q1[i]).max(axis=1) \
+            <= 1e-6 * np.maximum(size[i + 1:], size[i])
+        if same.any():
+            dup = classes[i + 1 + same.argmax()].ballot
+            raise CountMismatch(f"branch {dup} duplicates {pc.ballot}")
+    return classes

@@ -99,13 +99,13 @@ def test_net_invariance_along_homotopy():
     # change the matching of a branch.
     p0 = np.array([-2.0, -1.0, 1.0, 2.0])
     p1 = np.array([-3.0, -0.2, 0.5, 4.0])
-    for ballot in ("1122", "1212"):
-        matchings = set()
-        for t in (0.0, 0.5, 1.0):
-            pts = (1 - t) * p0 + t * p1
-            pc = tracker.solve_branch(ballot, pts, 3)
-            matchings.add(nets.trace_net(pc).matching)
-        assert len(matchings) == 1
+    matchings = {}
+    for t in (0.0, 0.5, 1.0):
+        for pc in tracker.solve_all((1 - t) * p0 + t * p1, 3):
+            matchings.setdefault(pc.ballot, set()).add(
+                nets.trace_net(pc).matching)
+    assert sorted(matchings) == ["1122", "1212"]
+    assert all(len(m) == 1 for m in matchings.values())
 
 
 def test_mirror_symmetry():

@@ -1,4 +1,5 @@
-"""solve_all over seeded point sets of three kinds at d = 4 to 7.
+"""solve_all over seeded point sets of three kinds at d = 4 to 7, and one
+uniform set at d = 8.
 
 Every set must give catalan(d) classes (a path that jumps to another
 branch raises CountMismatch), each with a backward error of at most 1e-10.
@@ -55,7 +56,8 @@ KINDS = {"uniform": _uniform, "close-pair": _close_pair,
          "clustered": _clustered}
 CASES = [(kind, d, seed) for kind in KINDS for d in (4, 5, 6)
          for seed in range(1, 6)] \
-    + [(kind, 7, seed) for kind in KINDS for seed in (1, 2)]
+    + [(kind, 7, seed) for kind in KINDS for seed in (1, 2)] \
+    + [("uniform", 8, 1)]
 
 
 def _errors(q1, q2, pts):

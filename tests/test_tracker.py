@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from wronski import poly, tracker
 from wronski.combinat import ballot_sequences, catalan
-from wronski.errors import ChartDegenerate, PathStuck
+from wronski.errors import ChartDegenerate, CountMismatch, PathStuck
 from wronski.seeds import apply_F, initial_pair
 from wronski.tracker import Chart, PairClass
 
@@ -50,6 +51,15 @@ def test_to_chart_renormalizes_span():
     g1, g2 = tracker.to_chart(f1, f2, Chart(base_point=2.0, d=2))
     assert abs(np.polyval(g2[::-1], 2.0)) < 1e-10
     assert poly.span_equivalent((g1, g2), (f1, f2), tol=1e-8)
+
+
+def test_to_chart_keeps_a_pair_already_in_its_chart():
+    # q2 vanishes at the base: the complement comes from q1, not from q2,
+    # which would cancel to zero.
+    for pc in tracker.solve_all([-2.0, -1.0, 1.0, 2.0], 3):
+        g1, g2 = tracker.to_chart(pc.q1, pc.q2, pc.chart)
+        assert np.abs(g1 - pc.q1).max() <= 1e-12 * np.abs(pc.q1).max()
+        assert np.abs(g2 - pc.q2).max() <= 1e-12 * np.abs(pc.q2).max()
 
 
 def test_to_chart_degenerate_base():
@@ -125,14 +135,17 @@ def _uniform_points(rng, n):
 
 
 @pytest.mark.parametrize("d, e", [(4, 3), (5, 4), (5, 2)])
-def test_solve_branch_matches_solve_all(d, e):
+def test_build_branch_matches_solve_all(d, e):
     # build_branch is the one-word trie: every word gets the class that the
     # lockstep build of all words gives it.
-    pts = _uniform_points(np.random.default_rng(d + 10 * e), d + e - 1)
+    pts = np.sort(_uniform_points(np.random.default_rng(d + 10 * e),
+                                  d + e - 1))
+    alpha, beta = tracker._affine_into_unit(pts)
     classes = tracker.solve_all(pts, d, e)
     assert [pc.ballot for pc in classes] == ballot_sequences(d, e)
     for pc in classes:
-        alone = tracker.solve_branch(pc.ballot, pts, d)
+        built = tracker.build_branch(pc.ballot, alpha * pts + beta, d)
+        alone, = tracker._polish([built], pts, alpha, beta)
         assert alone.chart == pc.chart
         for a, b in ((alone.q1, pc.q1), (alone.q2, pc.q2)):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
@@ -274,8 +287,8 @@ def test_packed_left_build_spends_its_budget_and_stops(monkeypatch):
 
 
 def test_stuck_build_names_the_first_failing_word_and_step(monkeypatch):
-    # The node of prefix 1121 cannot start: the first word through it, the
-    # second word in order, is named, and only the first word is built.
+    # The node of prefix 1121 cannot start: the build stops at its depth
+    # and names the first word through it, the second word in order.
     def poisoned(i, a, pair):
         born = apply_F(i, a, pair)
         if pair.sigma + str(i) == "1121":
@@ -284,11 +297,26 @@ def test_stuck_build_names_the_first_failing_word_and_step(monkeypatch):
 
     monkeypatch.setattr(tracker, "apply_F", poisoned)
     words = ballot_sequences(4)
-    built, error = tracker._build_trie(
-        words, np.linspace(-0.9, -0.1, 6), 4, 3)
-    assert [pc.ballot for pc in built] == words[:1]
-    assert str(error) == (f"word {words[1]!r}: step 4 did not reach its "
-                          f"target within {tracker.MAX_TICKS} ticks")
+    message = (f"word {words[1]!r}: step 4 did not reach its target within "
+               f"{tracker.MAX_TICKS} ticks")
+    with pytest.raises(PathStuck, match=f"^{re.escape(message)}$"):
+        tracker._build_trie(words, np.linspace(-0.9, -0.1, 6), 4, 3)
+
+
+def test_count_check_names_both_words_of_a_duplicated_class(monkeypatch):
+    # The polish returns the first class under the first two words.
+    polish = tracker._polish
+
+    def duplicated(*args):
+        classes = polish(*args)
+        return [classes[0], replace(classes[0], ballot=classes[1].ballot),
+                *classes[2:]]
+
+    monkeypatch.setattr(tracker, "_polish", duplicated)
+    words = ballot_sequences(4)
+    with pytest.raises(CountMismatch,
+                       match=f"^branch {words[1]} duplicates {words[0]}$"):
+        tracker.solve_all(POLISH_POINTS, 4)
 
 
 def test_stacked_solves_fall_back_one_by_one(monkeypatch):
