@@ -20,6 +20,7 @@ q1, the span's unique monic element of degree m.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from . import poly, tracker
 from .errors import Collision, NonzeroResidue, NotASolution, SharedRoot
@@ -171,27 +172,26 @@ def second_solution(A, y1):
         np.fill_diagonal(dz, np.inf)
         if np.abs(dz).min() < 1e-8:
             raise SharedRoot("roots of y1 must be simple")
-    y1p = poly.derivative(y1)
-    y1pp = poly.derivative(y1p)
+    y1p = P.polyder(y1)
+    y1pp = P.polyder(y1p)
     scale = np.abs(A).max()
-    if r.size and np.abs(poly.polyval(A, r)).min() < 1e-10 * scale:
+    if r.size and np.abs(P.polyval(r, A)).min() < 1e-10 * scale:
         raise SharedRoot("y1 shares a root with A")
     # residues of A/y1^2 at the double poles
-    Ar, Apr = poly.polyval(A, r), poly.polyval(poly.derivative(A), r)
-    d1, d2 = poly.polyval(y1p, r), poly.polyval(y1pp, r)
+    Ar, Apr = P.polyval(r, A), P.polyval(r, P.polyder(A))
+    d1, d2 = P.polyval(r, y1p), P.polyval(r, y1pp)
     alpha = (Apr * d1 - Ar * d2) / d1 ** 3
     if r.size and np.abs(alpha).max() > 1e-8 * (1 + scale):
         raise NonzeroResidue("integral of A/y1^2 is not rational here")
     beta = Ar / d1 ** 2
     # polynomial part of A / y1^2 by long division
-    from numpy.polynomial import polynomial as P
     denom = P.polymul(y1, y1)
     q, _ = np.polydiv(A[::-1], denom[::-1]) if A.size >= denom.size \
         else (np.zeros(1), None)
     q = np.asarray(q, dtype=complex)[::-1]
-    y2 = poly.polymul(y1, P.polyint(q))
+    y2 = P.polymul(y1, P.polyint(q))
     for rk, bk in zip(r, beta):
-        y2 = poly.polysub(y2, bk * poly.deflate(y1, rk))
-    y2 = poly.normalize(y2, tol=1e-9)
+        y2 = P.polysub(y2, bk * poly.deflate(y1, rk))
+    y2 = poly.trim(y2, 1e-9)
     y2 = y2 / y2[-1]
     return y2.real if np.abs(y2.imag).max() < 1e-9 else y2

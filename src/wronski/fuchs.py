@@ -24,6 +24,7 @@ it sums, since residues grow like 1/gap when points cluster.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from . import poly
 from .errors import (DegeneratePair, DuplicatePoints, LengthMismatch,
@@ -46,8 +47,7 @@ def ode_from_pair(pair):
     if not poly.pair_independent(y1, y2):
         raise DegeneratePair("pair does not span a 2-dimensional space")
     A = poly.wronskian(y1, y2)
-    return A, -poly.derivative(A), poly.wronskian(poly.derivative(y1),
-                                                  poly.derivative(y2))
+    return A, -P.polyder(A), poly.wronskian(P.polyder(y1), P.polyder(y2))
 
 
 def residues(pair, a):
@@ -61,14 +61,13 @@ def residues(pair, a):
     y1, y2 = (poly.as_poly(p) for p in pair)
     A, B, C = ode_from_pair((y1, y2))
     a = np.sort(np.asarray(a, dtype=float))
-    if a.size != poly.degree(A):
+    if a.size != A.size - 1:
         raise LengthMismatch("need one point per root of the Wronskian")
-    terms = poly.polyadd(poly.polymul(abs(y1), abs(poly.derivative(y2))),
-                         poly.polymul(abs(poly.derivative(y1)), abs(y2)))
-    if np.any(np.abs(poly.polyval(A, a))
-              > 1e-8 * poly.polyval(terms, np.abs(a))):
+    terms = P.polyadd(P.polymul(abs(y1), abs(P.polyder(y2))),
+                      P.polymul(abs(P.polyder(y1)), abs(y2)))
+    if np.any(np.abs(P.polyval(a, A)) > 1e-8 * P.polyval(np.abs(a), terms)):
         raise NotASolution("points are not roots of the Wronskian")
-    return poly.polyval(C, a) / poly.polyval(-B, a)  # -B = A'
+    return P.polyval(a, C) / P.polyval(a, -B)  # -B = A'
 
 
 def bethe_residual(x, a):
@@ -180,9 +179,9 @@ def _operator_matrix(A, B, C, n):
     for j in range(n + 2):
         ej = np.zeros(j + 1)
         ej[j] = 1.0
-        img = poly.polyadd(poly.polymul(A, poly.derivative(poly.derivative(ej))),
-                           poly.polyadd(poly.polymul(B, poly.derivative(ej)),
-                                        poly.polymul(C, ej)))
+        img = P.polyadd(P.polymul(A, P.polyder(ej, 2)),
+                        P.polyadd(P.polymul(B, P.polyder(ej)),
+                                  P.polymul(C, ej)))
         M[: img.size, j] = img
     return M
 
@@ -196,21 +195,18 @@ def polynomial_solutions(a, x):
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
     n = a.size
-    A = poly.from_roots(a).real
-    B = -poly.derivative(A)
+    A = P.polyfromroots(a)
+    B = -P.polyder(A)
     C = np.zeros(1)
     for ak, xk in zip(a, x):
-        C = poly.polyadd(C, xk * poly.deflate(A, ak).real)
+        C = P.polyadd(C, xk * poly.deflate(A, ak))
     M = _operator_matrix(A, B, C, n)
     scale = np.abs(M).max()
     _, sv, vh = np.linalg.svd(M / scale)
     if sv[-3] < 1e6 * max(sv[-2], 1e-300) or sv[-2] > 1e-8:
         raise NotASolution("operator nullspace is not 2-dimensional")
-    basis = [poly.normalize(v, tol=1e-9) for v in vh[-2:]]
-    basis.sort(key=poly.degree)
-    lo, hi = basis
-    if poly.degree(lo) == poly.degree(hi):
-        lo = poly.normalize(poly.polysub(lo / lo[-1], hi / hi[-1]), tol=1e-9)
-        basis = sorted([lo, hi], key=poly.degree)
-        lo, hi = basis
+    lo, hi = sorted((poly.trim(v, 1e-9) for v in vh[-2:]), key=len)
+    if lo.size == hi.size:
+        lo = poly.trim(P.polysub(lo / lo[-1], hi / hi[-1]), 1e-9)
+        lo, hi = sorted([lo, hi], key=len)
     return (lo / lo[-1]).real, (hi / hi[-1]).real

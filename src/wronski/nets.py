@@ -17,6 +17,7 @@ than the step still gets two arcs of its own.
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from . import poly
 from .combinat import ballot_to_matching, is_noncrossing
@@ -82,7 +83,7 @@ def _trace_arc(q1, q2, start, vertices, upward=True):
     """Follow the level curve leaving `start` vertically, return
     (endpoint vertex index, polyline)."""
     polys = tuple(tuple(float(c) for c in p) for p in
-                  (q1, q2, poly.derivative(q1), poly.derivative(q2)))
+                  (q1, q2, P.polyder(q1), P.polyder(q2)))
     scale = float(1 + np.abs(vertices).max())
     R = 10.0 * scale
     sign = 1.0 if upward else -1.0
@@ -133,7 +134,7 @@ def trace_net(pc, upward=True):
         raise NonRealInput("coefficients must be real")
     q1, q2 = np.real(pc.q1), np.real(pc.q2)
     w = poly.wronskian(q1, q2)
-    if poly.degree(w) != 2 * pc.d - 2:
+    if w.size != 2 * pc.d - 1:
         raise TraceLost("critical point at infinity")
     try:
         vertices = np.sort(poly.real_roots(w))

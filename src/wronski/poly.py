@@ -1,18 +1,17 @@
-"""Dense polynomial arithmetic with exact-degree normalization.
+"""Polynomial helpers that numpy.polynomial.polynomial lacks.
 
 Polynomials are numpy arrays of coefficients in ascending degree order
-(real or complex).  Every public function returns a normalized array:
-trailing coefficients below DROP_TOL times the max magnitude are stripped,
-so the last entry is the structurally nonzero leading coefficient.
+(real or complex).  Arithmetic is numpy.polynomial.polynomial's, which
+drops only exact trailing zeros, so where the structure fixes a degree the
+array's length is that degree plus one, however the points are scaled.
+A coefficient is dropped for being small only through trim, at a tolerance
+its caller chooses.
 """
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import DegeneratePair, ZeroPolynomial
-
-# Relative magnitude below which a trailing coefficient counts as zero.
-DROP_TOL = 1e-12
 
 
 def as_poly(c):
@@ -25,86 +24,37 @@ def as_poly(c):
     return a
 
 
-def normalize(c, tol=DROP_TOL):
-    """Strip trailing near-zero coefficients."""
+def trim(c, tol):
+    """c without its trailing coefficients of magnitude at most tol times
+    its largest one."""
     a = as_poly(c)
-    mags = np.abs(a)
-    scale = mags.max() if a.size else 0.0
-    if scale == 0.0:
-        return a[:1] * 0.0
-    keep = np.nonzero(mags > tol * scale)[0]
-    return a[: keep[-1] + 1].copy()
-
-
-def degree(c):
-    """Degree after normalization; -1 for the zero polynomial."""
-    a = normalize(c)
-    if a.size == 1 and a[0] == 0:
-        return -1
-    return a.size - 1
-
-
-def is_zero(c, tol=DROP_TOL):
-    return degree(normalize(c, tol)) == -1
-
-
-def polyval(c, z):
-    return P.polyval(z, as_poly(c))
-
-
-def polyadd(f, g):
-    return normalize(P.polyadd(as_poly(f), as_poly(g)))
-
-
-def polysub(f, g):
-    return normalize(P.polysub(as_poly(f), as_poly(g)))
-
-
-def polymul(f, g):
-    return normalize(P.polymul(as_poly(f), as_poly(g)))
-
-
-def derivative(c):
-    a = as_poly(c)
-    if a.size == 1:
-        return a * 0.0
-    return P.polyder(a)
+    return P.polytrim(a, tol * np.abs(a).max())
 
 
 def wronskian(f, g):
     """f * g' - f' * g."""
     f = as_poly(f)
     g = as_poly(g)
-    return normalize(P.polysub(P.polymul(f, derivative(g)),
-                               P.polymul(derivative(f), g)))
+    return P.polysub(P.polymul(f, P.polyder(g)), P.polymul(P.polyder(f), g))
 
 
-def from_roots(roots):
-    """Monic polynomial with the given roots (empty list gives 1)."""
-    r = np.atleast_1d(np.asarray(roots))
-    if r.size == 0:
-        return np.array([1.0])
-    return P.polyfromroots(r)
-
-
-def roots(c, tol=1e-10):
-    """All deg(c) roots with multiplicity, via the companion matrix.
+def roots(c):
+    """All roots with multiplicity, via the companion matrix, as a sorted
+    complex array; the degree is that of the last nonzero coefficient.
 
     Raises ZeroPolynomial on the identically-zero input.
     """
-    a = normalize(c, tol=min(tol, DROP_TOL))
-    if degree(a) == -1:
+    a = as_poly(c)
+    if not a.any():
         raise ZeroPolynomial("cannot extract roots of the zero polynomial")
-    if a.size == 1:
-        return np.array([], dtype=complex)
     return np.sort_complex(P.polyroots(a))
 
 
-def real_roots(c, imag_tol=1e-8):
+def real_roots(c):
     """Roots of a real polynomial asserted to be real; sorted ascending."""
     r = roots(c)
     scale = 1.0 + np.abs(r).max() if r.size else 1.0
-    if r.size and np.abs(r.imag).max() > imag_tol * scale:
+    if r.size and np.abs(r.imag).max() > 1e-8 * scale:
         raise ZeroPolynomial(
             "polynomial has roots with non-negligible imaginary part")
     return np.sort(r.real)
@@ -118,7 +68,7 @@ def compose_affine(c, alpha, beta):
     for ck in a[::-1]:
         out[1:] = beta * out[1:] + alpha * out[:-1]
         out[0] = beta * out[0] + ck
-    return normalize(out)
+    return out
 
 
 def deflate(c, r):
@@ -142,14 +92,14 @@ def _stack_coeffs(polys):
     return m
 
 
-def pair_independent(f, g, tol=1e-10):
+def pair_independent(f, g):
     """True iff (f, g) are linearly independent."""
     m = _stack_coeffs([f, g])
     norms = np.linalg.norm(m, axis=1)
     if np.any(norms == 0):
         return False
     s = np.linalg.svd(m / norms[:, None], compute_uv=False)
-    return s[-1] > tol * s[0]
+    return s[-1] > 1e-10 * s[0]
 
 
 def span_equivalent(pair1, pair2, tol=1e-8):

@@ -600,7 +600,11 @@ def solve_all(points, d, e=None):
     points = np.sort(points)
     alpha, beta = _affine_into_unit(points)
     built = _build_trie(sigmas, _staged_targets(alpha * points + beta), d, e)
-    classes = _polish(built, points, alpha, beta)
+    # On points spread over a tiny interval (1e-300 wide, say) alpha**d
+    # overflows, so a class carried back is not finite; no base polishes
+    # it, and it raises PathStuck.
+    with np.errstate(over="ignore", invalid="ignore"):
+        classes = _polish(built, points, alpha, beta)
     # Two words are one class when their q1 agree to 1e-6, relatively.
     q1 = np.array([pc.q1 for pc in classes])
     size = np.abs(q1).max(axis=1)

@@ -112,6 +112,24 @@ def test_net_command_with_artifacts(tmp_path):
     assert len(lines) > 10
 
 
+def test_solve_far_from_the_origin_keeps_the_leading_coefficient():
+    # Near 1000 the Wronskian's leading 1 is 1e-12 of its largest
+    # coefficient, and still its leading coefficient.
+    classes = tracker.solve_all([1000.0, 1001.0, 1002.0, 1003.0], 3)
+    assert [pc.wronskian().size for pc in classes] == [5, 5]
+    code, text = cli.run(["solve", "--points", "1000,1001,1002,1003"])
+    assert code == 0, text
+    assert [len(cls["wronskian_roots"])
+            for cls in json.loads(text)["classes"]] == [4, 4]
+
+
+def test_solve_too_close_to_carry_back_is_stuck():
+    # alpha**2 overflows when the classes are carried back onto the points.
+    code, text = cli.run(["solve", "--points", "1e-300,2e-300"])
+    assert code == 1
+    assert json.loads(text)["kind"] == "PathStuck"
+
+
 def test_verify_command():
     code, out = run_cli("verify", "--points", "-2,-1,1,2")
     assert code == 0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from wronski import electro, fuchs, poly
 from wronski.electro import ChargeConfig
@@ -46,7 +47,7 @@ def test_second_solution_oracles():
     y2 = electro.second_solution([-1.0, 0.0, 1.0], [0.0, 1.0])
     assert np.allclose(y2, [1, 0, 1])
     y2 = electro.second_solution([-1.0, 0.0, 1.0], [0.0, -3.0, 0.0, 1.0])
-    assert poly.degree(y2) == 0
+    assert y2.size == 1
     with pytest.raises(NonzeroResidue):
         electro.second_solution([-1.0, 0.0, 1.0], [-0.5, 1.0])
     with pytest.raises(SharedRoot):
@@ -118,12 +119,12 @@ def test_dictionary_with_bethe_solutions():
     a = np.sort(rng.uniform(-3, 3, 4))
     for sol in fuchs.bethe_solve(a):
         lo, hi = fuchs.polynomial_solutions(a, sol.x)
-        if poly.degree(lo) == 0:
+        if lo.size == 1:
             continue
         roots = poly.roots(lo)
         resid = electro.equilibrium_residual(ChargeConfig(a, roots))
         assert np.abs(resid).max() < 1e-8
-        A = poly.from_roots(a).real
+        A = P.polyfromroots(a)
         y2 = electro.second_solution(A, lo)
         assert poly.span_equivalent((lo, y2), (lo, hi), tol=1e-6)
 
