@@ -1,7 +1,8 @@
 """Command-line interface: JSON results, SVG net pictures, CSV arc dumps.
 
 Exit codes: 0 success, 1 numerical failure (a path, count, or trace
-problem, reported with diagnostics), 2 invalid input.
+problem, reported with diagnostics), 2 invalid input (InvalidInput, or
+any other ValueError).
 """
 
 import argparse
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import electro, fuchs, nets, poly, tracker
 from .combinat import catalan, kostka
-from .errors import WronskiError
+from .errors import InvalidInput, WronskiError
 
 
 def _parse_points(text):
@@ -24,10 +25,6 @@ def _parse_points(text):
         raise argparse.ArgumentTypeError(
             "points must be a comma-separated list of reals")
     return np.asarray(pts)
-
-
-class SystemExit2(Exception):
-    """Invalid input; maps to exit code 2."""
 
 
 def _round(x):
@@ -63,30 +60,26 @@ def _class_doc(pc, points):
 
 
 def _solve(points, d):
-    if np.unique(points).size != points.size:
-        raise SystemExit2("points must be distinct")
     if d is None:
         if points.size % 2:
-            raise SystemExit2("need an even number of points")
+            raise InvalidInput("need an even number of points")
         d = points.size // 2 + 1
-    if points.size != 2 * d - 2:
-        raise SystemExit2(f"need {2 * d - 2} points for degree {d}")
     return tracker.solve_all(points, d), d
 
 
 def cmd_count(args):
     if args.d is None or args.d < 2:
-        raise SystemExit2("count requires --d >= 2")
+        raise InvalidInput("count requires --d >= 2")
     return {"command": "count", "d": args.d, "u": catalan(args.d)}
 
 
 def cmd_kostka(args):
     if not args.content:
-        raise SystemExit2("kostka requires --content")
+        raise InvalidInput("kostka requires --content")
     total = sum(args.content)
     if args.d is None:
         if total % 2:
-            raise SystemExit2("content must sum to 2(d-1)")
+            raise InvalidInput("content must sum to 2(d-1)")
         d = total // 2 + 1
     else:
         d = args.d
@@ -96,7 +89,7 @@ def cmd_kostka(args):
 
 def cmd_solve(args):
     if args.points is None:
-        raise SystemExit2("solve requires --points")
+        raise InvalidInput("solve requires --points")
     classes, d = _solve(args.points, args.d)
     return {"command": "solve", "d": d, "points": _vec(np.sort(args.points)),
             "classes": [_class_doc(pc, args.points) for pc in classes]}
@@ -104,9 +97,7 @@ def cmd_solve(args):
 
 def cmd_bethe(args):
     if args.points is None:
-        raise SystemExit2("bethe requires --points (the singular points a)")
-    if np.unique(args.points).size != args.points.size:
-        raise SystemExit2("points must be distinct")
+        raise InvalidInput("bethe requires --points (the singular points a)")
     sols = fuchs.bethe_solve(args.points)
     return {"command": "bethe", "a": _vec(np.sort(args.points)),
             "solutions": [{"x": _vec(s.x), "s": s.s,
@@ -116,13 +107,8 @@ def cmd_bethe(args):
 
 def cmd_equilibrium(args):
     if args.points is None or args.m is None:
-        raise SystemExit2("equilibrium requires --points and --m")
-    if np.unique(args.points).size != args.points.size:
-        raise SystemExit2("points must be distinct")
-    try:
-        eqs = electro.solve_equilibrium(args.points, args.m)
-    except ValueError as e:
-        raise SystemExit2(str(e))
+        raise InvalidInput("equilibrium requires --points and --m")
+    eqs = electro.solve_equilibrium(args.points, args.m)
     docs = []
     for c in eqs:
         r = electro.equilibrium_residual(c)
@@ -137,7 +123,7 @@ def cmd_equilibrium(args):
 
 def cmd_net(args):
     if args.points is None:
-        raise SystemExit2("net requires --points")
+        raise InvalidInput("net requires --points")
     classes, d = _solve(args.points, args.d)
     traced = [nets.trace_net(pc) for pc in classes]
     if args.svg:
@@ -153,7 +139,7 @@ def cmd_net(args):
 
 def cmd_verify(args):
     if args.points is None:
-        raise SystemExit2("verify requires --points")
+        raise InvalidInput("verify requires --points")
     classes, d = _solve(args.points, args.d)
     pts = np.sort(args.points)
     max_res = 0.0
@@ -172,6 +158,15 @@ def cmd_verify(args):
             "classes": len(classes), "round_trip_ok": round_trip,
             "nets_distinct": distinct, "max_residual": _round(max_res),
             "ok": bool(ok)}
+
+
+def _open(path):
+    """path opened for writing; a path that cannot be opened is invalid
+    input."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as e:
+        raise InvalidInput(f"cannot write {path}: {e.strerror}") from None
 
 
 def _svg_arc(pts, sx, sy, mirror=False):
@@ -210,12 +205,12 @@ def emit_svg(traced, path):
             parts.append(f'<circle cx="{sx(x):.2f}" cy="{H / 2}" r="3" '
                          'fill="#c00"/>')
         parts.append("</svg>")
-        with open(name, "w") as fh:
+        with _open(name) as fh:
             fh.write("\n".join(parts))
 
 
 def _emit_csv(traced, path):
-    with open(path, "w", newline="") as fh:
+    with _open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["net", "arc_lo", "arc_hi", "re", "im"])
         for i, net in enumerate(traced, start=1):
@@ -236,8 +231,15 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # A malformed command line is invalid input like any other.
+        self.print_usage(sys.stderr)
+        raise InvalidInput(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="wronski",
         description="Classes of rational functions with prescribed real "
                     "critical points.")
@@ -276,23 +278,24 @@ def _merge_negative_values(argv):
 
 
 def run(argv=None):
+    """(exit code, JSON text) of one command line; no text for --help."""
     if argv is None:
         argv = sys.argv[1:]
     argv = _merge_negative_values(list(argv))
+    out = None
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0) and 2, None
-    try:
-        doc = COMMANDS[args.command](args)
-        code = 0
-    except (SystemExit2, WronskiError, ValueError) as e:
+        out = args.json_path and _open(args.json_path)
+        doc, code = COMMANDS[args.command](args), 0
+    except SystemExit:  # --help
+        return 0, None
+    except (WronskiError, ValueError) as e:
         doc = {"error": str(e), "kind": type(e).__name__}
-        code = 1 if getattr(e, "numerical", False) else 2
+        code = 2 if isinstance(e, ValueError) else 1
     text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    if getattr(args, "json_path", None):
-        with open(args.json_path, "w") as fh:
-            fh.write(text)
+    if out:
+        with out:
+            out.write(text)
     return code, text
 
 

@@ -11,13 +11,13 @@ Matchings are frozensets of 1-based index pairs (i, j) with i < j.
 
 from math import comb
 
-from .errors import InvalidBallot, InvalidContent
+from .errors import InvalidInput
 
 
 def catalan(d):
     """Number of classes with 2d-2 generic critical points: C(2d-2, d-1)/d."""
     if d < 2:
-        raise ValueError("degree must be at least 2")
+        raise InvalidInput("degree must be at least 2")
     return comb(2 * d - 2, d - 1) // d
 
 
@@ -46,10 +46,10 @@ def ballot_sequences(d, e=None):
     of length 2d-2.
     """
     if d < 2:
-        raise ValueError("degree must be at least 2")
+        raise InvalidInput("degree must be at least 2")
     e = d - 1 if e is None else e
     if not 0 <= e < d:
-        raise ValueError("lower degree must lie in [0, d)")
+        raise InvalidInput("lower degree must lie in [0, d)")
     n = d + e - 1
     out = []
 
@@ -69,7 +69,7 @@ def ballot_sequences(d, e=None):
 def ballot_to_matching(sigma):
     """Parenthesis matching: each 2 pairs with the most recent unpaired 1."""
     if not is_ballot(sigma):
-        raise InvalidBallot(f"not a ballot sequence: {sigma!r}")
+        raise InvalidInput(f"not a ballot sequence: {sigma!r}")
     stack = []
     arcs = set()
     for pos, ch in enumerate(sigma, start=1):
@@ -112,12 +112,12 @@ def noncrossing_matchings(n):
 
 def _check_content(content, d):
     if d < 2:
-        raise InvalidContent("degree must be at least 2")
+        raise InvalidInput("degree must be at least 2")
     content = list(content)
     if not content or any(a < 1 or a > d - 1 for a in content):
-        raise InvalidContent(f"entries of {content} must lie in [1, {d - 1}]")
+        raise InvalidInput(f"entries of {content} must lie in [1, {d - 1}]")
     if sum(content) != 2 * d - 2:
-        raise InvalidContent(f"entries of {content} must sum to {2 * d - 2}")
+        raise InvalidInput(f"entries of {content} must sum to {2 * d - 2}")
     return content
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from . import poly, tracker
-from .errors import Collision, NonzeroResidue, NotASolution, SharedRoot
+from .errors import InvalidInput, NotASolution
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ def _check_separation(c):
             if i < c.fixed.size and j < c.fixed.size:
                 continue
             if abs(pts[i] - pts[j]) < 1e-12:
-                raise Collision("charges closer than 1e-12")
+                raise InvalidInput("charges closer than 1e-12")
     return m
 
 
@@ -114,12 +114,16 @@ def _refine(z, fixed):
 
 
 def _isolated_equilibrium(fixed, z, tol=1e-9):
-    """Zero force, closed under conjugation (isolated equilibria are
-    real-symmetric), and a full-rank Jacobian (non-isolated families have
-    rank-deficient ones)."""
+    """Zero force, to tol of the size of the terms each force sums,
+    2 sum_j |1/(z_k - z_j)| + sum_j |1/(z_k - a_j)|; closed under
+    conjugation (isolated equilibria are real-symmetric); and a full-rank
+    Jacobian (non-isolated families have rank-deficient ones)."""
     force = equilibrium_residual(ChargeConfig(fixed=fixed, mobile=z))
+    inv, _ = _pair_inverses(z)
+    size = 2 * np.abs(inv).sum(axis=1) \
+        + np.abs(1.0 / (z[:, None] - fixed[None, :])).sum(axis=1)
     sv = np.linalg.svd(_residual_jacobian(z, fixed), compute_uv=False)
-    return (np.abs(force).max(initial=0.0) <= tol
+    return (np.all(np.abs(force) <= tol * size)
             and np.abs(z[:, None] - z.conj()).min(axis=1).max() <= 1e-8
             and sv[0] / max(sv[-1], 1e-300) < 1e10)
 
@@ -130,10 +134,10 @@ def solve_equilibrium(fixed, m):
     Raises NotASolution, naming the sector and the F-word, when a root set
     is not an isolated equilibrium.
     """
-    fixed = np.sort(np.asarray(fixed, dtype=float))
+    fixed = tracker.distinct_points(fixed)
     n = fixed.size
     if not 0 <= 2 * m <= n:
-        raise ValueError("no degree pair exists for this charge count")
+        raise InvalidInput("no degree pair exists for this charge count")
     if m == 0:
         return [ChargeConfig(fixed=fixed, mobile=np.zeros(0, complex))]
     out = []
@@ -146,7 +150,7 @@ def solve_equilibrium(fixed, m):
             z = _canonical(np.where(np.abs(z.imag) <= 1e-14 * (1 + np.abs(z)),
                                     z.real, z))
             ok = z.size == m and _isolated_equilibrium(fixed, z)
-        except (Collision, np.linalg.LinAlgError):
+        except (InvalidInput, np.linalg.LinAlgError):
             ok = False
         if not ok:
             raise NotASolution(f"sector e={m}, word {cls.ballot}: roots are "
@@ -171,18 +175,18 @@ def second_solution(A, y1):
         dz = r[:, None] - r[None, :]
         np.fill_diagonal(dz, np.inf)
         if np.abs(dz).min() < 1e-8:
-            raise SharedRoot("roots of y1 must be simple")
+            raise InvalidInput("roots of y1 must be simple")
     y1p = P.polyder(y1)
     y1pp = P.polyder(y1p)
     scale = np.abs(A).max()
     if r.size and np.abs(P.polyval(r, A)).min() < 1e-10 * scale:
-        raise SharedRoot("y1 shares a root with A")
+        raise InvalidInput("y1 shares a root with A")
     # residues of A/y1^2 at the double poles
     Ar, Apr = P.polyval(r, A), P.polyval(r, P.polyder(A))
     d1, d2 = P.polyval(r, y1p), P.polyval(r, y1pp)
     alpha = (Apr * d1 - Ar * d2) / d1 ** 3
     if r.size and np.abs(alpha).max() > 1e-8 * (1 + scale):
-        raise NonzeroResidue("integral of A/y1^2 is not rational here")
+        raise InvalidInput("integral of A/y1^2 is not rational here")
     beta = Ar / d1 ** 2
     # polynomial part of A / y1^2 by long division
     denom = P.polymul(y1, y1)

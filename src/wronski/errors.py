@@ -1,87 +1,36 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules.
+
+InvalidInput is the one error of the input: points that are not finite,
+not distinct (tracker.distinct_points) or of the wrong number, and any
+argument outside its function's domain.  It is a ValueError, so the CLI
+exits 2 for it.  Every other class is a failure of the numerics on valid
+input, and the CLI exits 1 for those.
+"""
 
 
 class WronskiError(Exception):
-    """Base class for all errors raised by this package.
-
-    `numerical` marks a failure of the numerics (a path, count, trace or
-    conditioning problem) rather than of the input; the CLI exits 1 for
-    those and 2 for the rest.
-    """
-    numerical = False
+    """Base class for all errors raised by this package."""
 
 
-class ZeroPolynomial(WronskiError):
-    pass
-
-
-class DegeneratePair(WronskiError):
-    pass
-
-
-class InvalidBallot(WronskiError):
-    pass
-
-
-class InvalidContent(WronskiError):
-    pass
-
-
-class NotPermitted(WronskiError):
-    pass
-
-
-class NegativeParameter(WronskiError):
+class InvalidInput(WronskiError, ValueError):
     pass
 
 
 class ChartDegenerate(WronskiError):
-    numerical = True
-
-
-class PathStuck(WronskiError):
-    numerical = True
-
-
-class CountMismatch(WronskiError):
-    numerical = True
-
-
-class DuplicatePoints(WronskiError):
     pass
 
 
-class NegativeDiscriminant(WronskiError):
+class PathStuck(WronskiError):
+    pass
+
+
+class CountMismatch(WronskiError):
     pass
 
 
 class NotASolution(WronskiError):
-    numerical = True
-
-
-class Collision(WronskiError):
-    pass
-
-
-class NonzeroResidue(WronskiError):
-    pass
-
-
-class SharedRoot(WronskiError):
     pass
 
 
 class TraceLost(WronskiError):
-    numerical = True
-
-
-class NonRealInput(WronskiError):
-    pass
-
-
-class LengthMismatch(WronskiError):
-    pass
-
-
-class IndexOutOfRange(WronskiError):
     pass

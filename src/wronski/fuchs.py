@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from . import poly
-from .errors import (DegeneratePair, DuplicatePoints, LengthMismatch,
-                     NegativeDiscriminant, NotASolution)
+from . import poly, tracker
+from .errors import InvalidInput, NotASolution
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,7 @@ def ode_from_pair(pair):
     pair."""
     y1, y2 = (poly.as_poly(p) for p in pair)
     if not poly.pair_independent(y1, y2):
-        raise DegeneratePair("pair does not span a 2-dimensional space")
+        raise InvalidInput("pair does not span a 2-dimensional space")
     A = poly.wronskian(y1, y2)
     return A, -P.polyder(A), poly.wronskian(P.polyder(y1), P.polyder(y2))
 
@@ -62,7 +61,7 @@ def residues(pair, a):
     A, B, C = ode_from_pair((y1, y2))
     a = np.sort(np.asarray(a, dtype=float))
     if a.size != A.size - 1:
-        raise LengthMismatch("need one point per root of the Wronskian")
+        raise InvalidInput("need one point per root of the Wronskian")
     terms = P.polyadd(P.polymul(abs(y1), abs(P.polyder(y2))),
                       P.polymul(abs(P.polyder(y1)), abs(y2)))
     if np.any(np.abs(P.polyval(a, A)) > 1e-8 * P.polyval(np.abs(a), terms)):
@@ -75,11 +74,8 @@ def bethe_residual(x, a):
     x = np.asarray(x, dtype=float)
     a = np.asarray(a, dtype=float)
     if x.shape != a.shape:
-        raise LengthMismatch("x and a must have the same length")
-    if a.size > 1:
-        aa = np.sort(a)
-        if np.diff(aa).min() < 1e-12 * (1 + np.abs(a).max()):
-            raise DuplicatePoints("singular points must be distinct")
+        raise InvalidInput("x and a must have the same length")
+    tracker.distinct_points(a)
     diff = a[None, :] - a[:, None]
     np.fill_diagonal(diff, np.inf)
     rhs = ((x[None, :] - x[:, None]) / diff).sum(axis=1)
@@ -95,7 +91,7 @@ def prop6_check(x, a):
     qstar = float((x * a).sum())
     disc = (n + 1) ** 2 - 4 * qstar
     if disc < -1e-9:
-        raise NegativeDiscriminant("(n+1)^2 - 4 q* is negative")
+        raise InvalidInput("(n+1)^2 - 4 q* is negative")
     return total, qstar, float(np.sqrt(max(disc, 0.0)))
 
 
@@ -137,10 +133,11 @@ def bethe_sector(a, e):
 
     Each class of degrees (e, n + 1 - e) with Wronskian roots a gives its
     residues, polished by _refine; raises NotASolution, naming the sector
-    and the F-word, when one misses the s check or the residual and sum
-    check, which allows 1e-9 of _term_size.
+    and the F-word, when one misses the residual and sum check, which
+    allows 1e-9 of _term_size, or the s check, s = d - e, which allows
+    q* = sum x_k a_k to miss ((n+1)^2 - (d-e)^2) / 4 by 1e-9 of
+    sum |x_k a_k|.
     """
-    from . import tracker
     a = np.sort(np.asarray(a, dtype=float))
     n = a.size
     d = n + 1 - e
@@ -152,7 +149,7 @@ def bethe_sector(a, e):
         _, qstar, s = prop6_check(x, a)
         F = np.append(bethe_residual(x, a), x.sum())
         if np.any(np.abs(F) > 1e-9 * _term_size(x, a)) \
-                or abs(s - (d - e)) > 1e-6:
+                or abs(s * s - (d - e) ** 2) > 4e-9 * np.abs(x * a).sum():
             raise NotASolution(f"sector e={e}, word {cls.ballot}: residues "
                                "fail the Bethe check")
         out.append(BetheSolution(a=a, x=x, s=d - e, qstar=qstar,
@@ -165,8 +162,6 @@ def bethe_solve(a):
     sector by sector; see bethe_sector."""
     a = np.sort(np.asarray(a, dtype=float))
     n = a.size
-    if n > 1 and np.diff(a).min() < 1e-12 * (1 + np.abs(a).max()):
-        raise DuplicatePoints("singular points must be distinct")
     out = [sol for e in range(n // 2 + 1) for sol in bethe_sector(a, e)]
     out.sort(key=lambda sol: (sol.s, tuple(np.round(sol.x, 9))))
     return out

@@ -21,8 +21,7 @@ from numpy.polynomial import polynomial as P
 
 from . import poly
 from .combinat import ballot_to_matching, is_noncrossing
-from .errors import (IndexOutOfRange, LengthMismatch, NonRealInput,
-                     TraceLost, ZeroPolynomial)
+from .errors import InvalidInput, TraceLost
 
 # Largest step, per unit of 1 + max|vertex|; factor of a step that the
 # corrector threw off the curve; steps per arc.
@@ -128,20 +127,16 @@ def _trace_arc(q1, q2, start, vertices, upward=True):
 
 
 def trace_net(pc, upward=True):
-    """Trace all upper-half-plane arcs of a real class."""
+    """Trace all upper-half-plane arcs of a real class; raises InvalidInput
+    for a class, or critical points, that are not real."""
     coeffs = np.concatenate([pc.q1, pc.q2])
     if np.abs(coeffs.imag).max() > 1e-8 * np.abs(coeffs).max():
-        raise NonRealInput("coefficients must be real")
+        raise InvalidInput("coefficients must be real")
     q1, q2 = np.real(pc.q1), np.real(pc.q2)
     w = poly.wronskian(q1, q2)
     if w.size != 2 * pc.d - 1:
         raise TraceLost("critical point at infinity")
-    try:
-        vertices = np.sort(poly.real_roots(w))
-    except ZeroPolynomial:
-        raise NonRealInput("critical points must be real and distinct")
-    if vertices.size != 2 * pc.d - 2:
-        raise NonRealInput("critical points must be real and distinct")
+    vertices = poly.real_roots(w)
     ends = {}
     arcs = {}
     for i, x in enumerate(vertices):
@@ -169,7 +164,7 @@ def net_from_ballot(sigma, vertices):
     confirms (see tests)."""
     vertices = tuple(np.sort(np.asarray(vertices, dtype=float)))
     if len(vertices) != len(sigma):
-        raise LengthMismatch("one vertex per ballot position required")
+        raise InvalidInput("one vertex per ballot position required")
     return Net(vertices=vertices, matching=ballot_to_matching(sigma),
                distinguished=len(sigma))
 
@@ -179,5 +174,5 @@ def degree_drop_edge(net, m):
     when the net has an arc joining them."""
     n = len(net.vertices)
     if not 1 <= m < n:
-        raise IndexOutOfRange("need adjacent vertex indices")
+        raise InvalidInput("need adjacent vertex indices")
     return (m, m + 1) in net.matching

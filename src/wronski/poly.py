@@ -11,14 +11,14 @@ its caller chooses.
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .errors import DegeneratePair, ZeroPolynomial
+from .errors import InvalidInput
 
 
 def as_poly(c):
     """Coerce input to a 1-d coefficient array (ascending degree)."""
     a = np.atleast_1d(np.asarray(c))
     if a.ndim != 1:
-        raise ValueError("coefficients must be one-dimensional")
+        raise InvalidInput("coefficients must be one-dimensional")
     if not np.issubdtype(a.dtype, np.complexfloating):
         a = a.astype(float)
     return a
@@ -42,20 +42,22 @@ def roots(c):
     """All roots with multiplicity, via the companion matrix, as a sorted
     complex array; the degree is that of the last nonzero coefficient.
 
-    Raises ZeroPolynomial on the identically-zero input.
+    Raises InvalidInput on the identically-zero input.
     """
     a = as_poly(c)
     if not a.any():
-        raise ZeroPolynomial("cannot extract roots of the zero polynomial")
+        raise InvalidInput("cannot extract roots of the zero polynomial")
     return np.sort_complex(P.polyroots(a))
 
 
 def real_roots(c):
-    """Roots of a real polynomial asserted to be real; sorted ascending."""
+    """Roots of a real polynomial asserted to be real; sorted ascending.
+    Raises InvalidInput where one has an imaginary part above 1e-8 of
+    1 + max|root|."""
     r = roots(c)
     scale = 1.0 + np.abs(r).max() if r.size else 1.0
     if r.size and np.abs(r.imag).max() > 1e-8 * scale:
-        raise ZeroPolynomial(
+        raise InvalidInput(
             "polynomial has roots with non-negligible imaginary part")
     return np.sort(r.real)
 
@@ -106,11 +108,11 @@ def span_equivalent(pair1, pair2, tol=1e-8):
     """True iff both pairs span the same 2-dimensional space.
 
     Decided by the numerical rank of the stacked 4-row coefficient matrix.
-    Raises DegeneratePair if either pair is linearly dependent.
+    Raises InvalidInput if either pair is linearly dependent.
     """
     for pair in (pair1, pair2):
         if not pair_independent(pair[0], pair[1]):
-            raise DegeneratePair("pair is linearly dependent")
+            raise InvalidInput("pair is linearly dependent")
     m = _stack_coeffs([pair1[0], pair1[1], pair2[0], pair2[1]])
     norms = np.linalg.norm(m, axis=1)
     s = np.linalg.svd(m / norms[:, None], compute_uv=False)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import poly
-from .errors import NegativeParameter, NotPermitted
+from .errors import InvalidInput
 
 
 @dataclass(frozen=True)
@@ -44,10 +44,10 @@ def initial_pair(d, e=None):
     """The unique pair with k1 = e, k2 = d: (z^e, z^d), by default
     e = d-1."""
     if d < 2:
-        raise ValueError("degree must be at least 2")
+        raise InvalidInput("degree must be at least 2")
     e = d - 1 if e is None else e
     if not 0 <= e < d:
-        raise ValueError("lower degree must lie in [0, d)")
+        raise InvalidInput("lower degree must lie in [0, d)")
     q1 = np.zeros(e + 1)
     q1[e] = 1.0
     q2 = np.zeros(d + 1)
@@ -61,15 +61,15 @@ def permitted(i, pair):
         return pair.k1 > 0
     if i == 2:
         return pair.k2 > pair.k1 + 1
-    raise ValueError("operation index must be 1 or 2")
+    raise InvalidInput("operation index must be 1 or 2")
 
 
 def apply_F(i, a, pair):
     """Add the term a*z^{k_i - 1} to q_i; k_i drops by one."""
     if not permitted(i, pair):
-        raise NotPermitted(f"F^{i} not permitted on b({pair.k1}, {pair.k2})")
+        raise InvalidInput(f"F^{i} not permitted on b({pair.k1}, {pair.k2})")
     if a < 0:
-        raise NegativeParameter("parameter must be non-negative")
+        raise InvalidInput("parameter must be non-negative")
     if i == 1:
         q1 = pair.q1.copy()
         q1[pair.k1 - 1] = a

@@ -53,7 +53,7 @@ from numpy.polynomial import polynomial as P
 
 from . import poly
 from .combinat import ballot_sequences
-from .errors import ChartDegenerate, CountMismatch, PathStuck
+from .errors import ChartDegenerate, CountMismatch, InvalidInput, PathStuck
 from .seeds import CanonicalPair, apply_F, initial_pair
 
 RESIDUAL_TOL = 1e-10    # staged rows are accepted below this or their floor
@@ -532,7 +532,7 @@ def build_branch(sigma, mapped, d):
 def _staged_targets(mapped):
     mapped = np.sort(np.asarray(mapped, dtype=float))
     if mapped[-1] >= 0 or mapped[0] <= -1:
-        raise ValueError("staged targets must lie in (-1, 0)")
+        raise InvalidInput("staged targets must lie in (-1, 0)")
     return mapped
 
 
@@ -577,6 +577,20 @@ def _polish(built, points, alpha, beta):
     return classes
 
 
+def distinct_points(points):
+    """The points, sorted; raises InvalidInput unless they are finite and
+    every gap exceeds 1e-12 of max|p|, the theorem's distinct points at a
+    resolution that does not depend on their scale."""
+    points = np.sort(np.asarray(points, dtype=float))
+    if not np.isfinite(points).all():
+        raise InvalidInput("points must be finite")
+    if points.size > 1 \
+            and np.diff(points).min() <= 1e-12 * np.abs(points).max():
+        raise InvalidInput("points must be distinct, more than 1e-12 of "
+                           "max|p| apart")
+    return points
+
+
 def solve_all(points, d, e=None):
     """All classes of real pairs of degrees (e, d) whose Wronskian vanishes
     exactly at the n = d+e-1 points; by default e = d-1, the classes of
@@ -586,18 +600,14 @@ def solve_all(points, d, e=None):
     at the default), in word order.  The words are built together on their
     trie and polished together (_polish); the first word, in order, whose
     build or polish fails raises its error.  CountMismatch names two words
-    that end with the same q1, which fixes the class.
+    that end with the same q1, which fixes the class.  Points that fail
+    distinct_points, or are not n, raise InvalidInput.
     """
     e = d - 1 if e is None else e
-    points = np.asarray(points, dtype=float)
-    if not np.isfinite(points).all():
-        raise ValueError("points must be finite")
+    points = distinct_points(points)
     if points.size != d + e - 1:
-        raise ValueError(f"need {d + e - 1} points for degree {d}")
-    if np.unique(points).size != points.size:
-        raise ValueError("points must be distinct")
+        raise InvalidInput(f"need {d + e - 1} points for degree {d}")
     sigmas = ballot_sequences(d, e)
-    points = np.sort(points)
     alpha, beta = _affine_into_unit(points)
     built = _build_trie(sigmas, _staged_targets(alpha * points + beta), d, e)
     # On points spread over a tiny interval (1e-300 wide, say) alpha**d

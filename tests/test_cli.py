@@ -52,12 +52,14 @@ def test_solve_closed_form():
 def test_solve_duplicate_points_exit2():
     code, out = run_cli("solve", "--points", "-1,-1")
     assert code == 2
-    assert "distinct" in json.loads(out)["error"]
+    doc = json.loads(out)
+    assert "distinct" in doc["error"] and doc["kind"] == "InvalidInput"
 
 
 def test_invalid_command_exit2():
-    code, _ = run_cli("frobnicate")
+    code, out = run_cli("frobnicate")
     assert code == 2
+    assert json.loads(out)["kind"] == "InvalidInput"
 
 
 def test_bethe_command():
@@ -88,12 +90,35 @@ def test_equilibrium_command():
 def test_non_finite_points_exit2(args):
     code, text = cli.run(list(args))
     assert code == 2
-    assert json.loads(text)["error"] == "points must be finite"
+    assert json.loads(text) == {"error": "points must be finite",
+                                "kind": "InvalidInput"}
+
+
+@pytest.mark.parametrize("args", [
+    ("solve", "--points", "1,2,3"),
+    ("solve", "--points", "1,2", "--d", "3"),
+    # 1e-13 apart, within 1e-12 of max|p|: not distinct
+    ("solve", "--points", "0.5,0.5000000000001"),
+    ("net", "--points", "1,1"),
+    ("verify", "--points", "-0.0,0.0"),
+    ("bethe", "--points", "1,1"),
+    ("equilibrium", "--points", "1,1", "--m", "0"),
+    ("equilibrium", "--points", "-1,1"),
+    ("count", "--d", "1"),
+    ("kostka", "--content", "1,1,4"),
+    ("kostka", "--content", "1,2"),
+    ("solve", "--points", "1,x"),
+])
+def test_invalid_input_exit2(args):
+    code, text = cli.run(list(args))
+    assert code == 2
+    assert json.loads(text)["kind"] == "InvalidInput"
 
 
 def test_equilibrium_bad_m_exit2():
-    code, _ = run_cli("equilibrium", "--points", "-1,1", "--m", "5")
+    code, out = run_cli("equilibrium", "--points", "-1,1", "--m", "5")
     assert code == 2
+    assert json.loads(out)["kind"] == "InvalidInput"
 
 
 def test_net_command_with_artifacts(tmp_path):
@@ -172,6 +197,20 @@ def test_single_point():
     assert code == 0
 
 
+@pytest.mark.parametrize("args", [
+    ("count", "--d", "3", "--json", "{}/x.json"),
+    ("net", "--points", "-1,1", "--svg", "{}/x.svg"),
+    ("net", "--points", "-1,1", "--csv", "{}/x.csv"),
+])
+def test_unwritable_output_path_exit2(tmp_path, args):
+    missing = tmp_path / "missing"
+    code, text = cli.run([a.format(missing) for a in args])
+    assert code == 2
+    doc = json.loads(text)
+    assert doc["kind"] == "InvalidInput" and "cannot write" in doc["error"]
+    assert not missing.exists()
+
+
 def test_json_file_output(tmp_path):
     path = tmp_path / "out.json"
     code, out = run_cli("count", "--d", "3", "--json", str(path))
@@ -180,8 +219,9 @@ def test_json_file_output(tmp_path):
 
 
 def test_jobs_flag():
-    code, _ = run_cli("solve", "--points", "-2,-1,1,2", "--jobs", "2")
+    code, out = run_cli("solve", "--points", "-2,-1,1,2", "--jobs", "2")
     assert code == 2
+    assert json.loads(out)["kind"] == "InvalidInput"
 
 
 @pytest.mark.parametrize("args", [

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wronski import combinat
-from wronski.errors import InvalidBallot, InvalidContent
+from wronski.errors import InvalidInput
 
 
 def test_catalan_values():
@@ -41,7 +41,7 @@ def test_is_ballot():
 def test_ballot_to_matching_oracles():
     assert combinat.ballot_to_matching("1122") == frozenset({(1, 4), (2, 3)})
     assert combinat.ballot_to_matching("1212") == frozenset({(1, 2), (3, 4)})
-    with pytest.raises(InvalidBallot):
+    with pytest.raises(InvalidInput):
         combinat.ballot_to_matching("2211")
 
 
@@ -105,11 +105,11 @@ def test_kostka_permutation_invariant(d, data):
 
 
 def test_invalid_content_rejected():
-    with pytest.raises(InvalidContent):
+    with pytest.raises(InvalidInput):
         combinat.kostka((1, 1, 1), 3)  # wrong sum
-    with pytest.raises(InvalidContent):
+    with pytest.raises(InvalidInput):
         combinat.kostka((3, 1), 3)  # entry above d-1
-    with pytest.raises(InvalidContent):
+    with pytest.raises(InvalidInput):
         combinat.kostka((0, 2, 2), 3)
 
 

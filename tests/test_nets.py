@@ -3,7 +3,7 @@ import pytest
 
 from wronski import nets, poly, tracker
 from wronski.combinat import ballot_to_matching, catalan, is_noncrossing
-from wronski.errors import IndexOutOfRange, LengthMismatch, NonRealInput
+from wronski.errors import InvalidInput
 
 
 def _pc(q1, q2, d, ballot=""):
@@ -28,7 +28,7 @@ def test_trace_d3_nets_distinct():
 
 
 def test_trace_rejects_nonreal():
-    with pytest.raises(NonRealInput):
+    with pytest.raises(InvalidInput):
         nets.trace_net(_pc([1j, 1], [1, 0, 1], 2))
 
 
@@ -50,7 +50,7 @@ def test_net_from_ballot_oracles():
         frozenset({(1, 2), (3, 4)})
     assert nets.net_from_ballot("1122", (-2, -1, 1, 2)).matching == \
         frozenset({(1, 4), (2, 3)})
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(InvalidInput):
         nets.net_from_ballot("1212", (-1, 1))
 
 
@@ -61,7 +61,7 @@ def test_degree_drop_edge():
     assert nets.degree_drop_edge(net, 3)
     nested = nets.net_from_ballot("1122", (-2, -1, 1, 2))
     assert nets.degree_drop_edge(nested, 2)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(InvalidInput):
         nets.degree_drop_edge(net, 4)
 
 

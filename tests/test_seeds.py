@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wronski import seeds
-from wronski.errors import NegativeParameter, NotPermitted
+from wronski.errors import InvalidInput
 
 
 def test_initial_pair():
@@ -27,9 +27,9 @@ def test_permitted_rule():
 
 def test_apply_F_errors():
     p = seeds.initial_pair(3)
-    with pytest.raises(NotPermitted):
+    with pytest.raises(InvalidInput):
         seeds.apply_F(2, 0.1, p)
-    with pytest.raises(NegativeParameter):
+    with pytest.raises(InvalidInput):
         seeds.apply_F(1, -1.0, p)
 
 

@@ -10,8 +10,9 @@ monomial coefficients, so a class accurate to rounding can still miss the
 root bound.
 
 The `bethe` and `net` commands must also run on clustered sets at d = 4
-and 5, with every sector's count of Bethe solutions and every traced net
-as its word predicts.
+to 6, with every sector's count of Bethe solutions and every traced net
+as its word predicts, and `equilibrium --m 2` must find every one of its
+C(n, 2) - C(n, 1) equilibria on one of them.
 """
 
 import json
@@ -89,7 +90,7 @@ def test_solve_all_stress(kind, d, seed):
             assert forward <= ROOT_TOL, pc.ballot
 
 
-@pytest.mark.parametrize("d", [4, 5])
+@pytest.mark.parametrize("d", [4, 5, 6])
 def test_clustered_bethe_and_net_commands(d):
     pts = stress_points("clustered", d, 1)
     arg = ",".join(repr(float(p)) for p in pts)
@@ -106,6 +107,17 @@ def test_clustered_bethe_and_net_commands(d):
     for net in traced:
         predicted = nets.net_from_ballot(net["ballot"], pts).matching
         assert net["matching"] == sorted(list(p) for p in predicted)
+
+
+def test_clustered_equilibrium_command():
+    # The force on a charge between two points 1e-4 apart sums terms near
+    # 1e4, so it is checked relative to them.
+    pts = stress_points("clustered", 4, 1)
+    n = pts.size
+    code, text = cli.run(["equilibrium", "--m", "2", "--points",
+                          ",".join(repr(float(p)) for p in pts)])
+    assert code == 0, text
+    assert len(json.loads(text)["equilibria"]) == comb(n, 2) - comb(n, 1)
 
 
 if __name__ == "__main__":
