@@ -7,7 +7,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from wronski import cli, tracker
+from wronski import (cli, combinat, electro, fuchs, nets, poly, seeds,
+                     tracker)
+from wronski.electro import ChargeConfig
 from wronski.errors import WronskiError
 
 SCHEMA = json.load(open(os.path.join(os.path.dirname(cli.__file__),
@@ -248,14 +250,52 @@ NUMERICAL_KINDS = {"PathStuck", "CountMismatch", "TraceLost",
                    "ChartDegenerate", "NotASolution"}
 
 
-@pytest.mark.parametrize("error", sorted(WronskiError.__subclasses__(),
-                                         key=lambda cls: cls.__name__),
-                         ids=lambda cls: cls.__name__)
-def test_exit_code_from_error_class(monkeypatch, error):
-    def solve_all(*args, **kwargs):
+def _raiser(error):
+    def raise_error():
         raise error("boom")
+    return raise_error
 
-    monkeypatch.setattr(tracker, "solve_all", solve_all)
+
+# Every input error the library raised under its own class before they all
+# became InvalidInput, by that class's name, with a call that raises it.
+INPUT_ERRORS = {
+    "Collision": lambda: electro.equilibrium_residual(
+        ChargeConfig([-1, 1], [1 + 1e-14j])),
+    "DegeneratePair": lambda: fuchs.ode_from_pair(
+        (np.array([0.0, 1.0]), np.array([0.0, 2.0]))),
+    "DuplicatePoints": lambda: fuchs.bethe_residual([1, 1], [1, 1]),
+    "IndexOutOfRange": lambda: nets.degree_drop_edge(
+        nets.net_from_ballot("1212", (-2, -1, 1, 2)), 4),
+    "InvalidBallot": lambda: combinat.ballot_to_matching("2211"),
+    "InvalidContent": lambda: combinat.kostka((1, 1, 1), 3),
+    "LengthMismatch": lambda: fuchs.bethe_residual([1, 1, 1], [-1, 1]),
+    "NegativeDiscriminant": lambda: fuchs.prop6_check([10, 10], [1, 2]),
+    "NegativeParameter": lambda: seeds.apply_F(
+        1, -1.0, seeds.initial_pair(3)),
+    "NonRealInput": lambda: nets.trace_net(tracker.PairClass(
+        q1=np.array([1j, 1]), q2=np.array([1, 0, 1], dtype=complex),
+        chart=tracker.Chart(0.0, 2), ballot="")),
+    "NonzeroResidue": lambda: electro.second_solution([-1.0, 0.0, 1.0],
+                                                      [-0.5, 1.0]),
+    "NotPermitted": lambda: seeds.apply_F(2, 0.1, seeds.initial_pair(3)),
+    "SharedRoot": lambda: electro.second_solution([-1.0, 0.0, 1.0],
+                                                  [-1.0, 1.0]),
+    "ZeroPolynomial": lambda: poly.roots([0.0, 0.0]),
+}
+ERROR_CASES = {cls.__name__: _raiser(cls)
+               for cls in WronskiError.__subclasses__()}
+ERROR_CASES.update(INPUT_ERRORS)
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_CASES))
+def test_exit_code_from_error_class(monkeypatch, name):
+    with pytest.raises(WronskiError) as info:
+        ERROR_CASES[name]()
+    kind = type(info.value).__name__
+    assert kind == ("InvalidInput" if name in INPUT_ERRORS else name)
+
+    monkeypatch.setattr(tracker, "solve_all",
+                        lambda *args, **kwargs: ERROR_CASES[name]())
     code, text = cli.run(["solve", "--points", "-1,1"])
-    assert code == (1 if error.__name__ in NUMERICAL_KINDS else 2)
-    assert json.loads(text) == {"error": "boom", "kind": error.__name__}
+    assert code == (1 if kind in NUMERICAL_KINDS else 2)
+    assert json.loads(text) == {"error": str(info.value), "kind": kind}
