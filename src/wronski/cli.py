@@ -6,6 +6,7 @@ any other ValueError).
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -124,12 +125,15 @@ def cmd_equilibrium(args):
 def cmd_net(args):
     if args.points is None:
         raise InvalidInput("net requires --points")
-    classes, d = _solve(args.points, args.d)
-    traced = [nets.trace_net(pc) for pc in classes]
     if args.svg:
-        emit_svg(traced, args.svg)
-    if args.csv:
-        _emit_csv(traced, args.csv)
+        _check_folder(args.svg)
+    with _open(args.csv) if args.csv else contextlib.nullcontext() as fh:
+        classes, d = _solve(args.points, args.d)
+        traced = nets.trace_net(classes)
+        if args.svg:
+            emit_svg(traced, args.svg)
+        if fh:
+            _emit_csv(traced, fh)
     return {"command": "net", "d": d, "points": _vec(np.sort(args.points)),
             "nets": [{"ballot": pc.ballot,
                       "matching": sorted(list(p) for p in net.matching),
@@ -151,13 +155,17 @@ def cmd_verify(args):
         lo, hi = fuchs.polynomial_solutions(pts, x)
         if not poly.span_equivalent((lo, hi), (pc.q1, pc.q2), tol=1e-6):
             round_trip = False
-    traced = [nets.trace_net(pc).matching for pc in classes]
+    traced = [net.matching for net in nets.trace_net(classes)]
     distinct = len(set(traced)) == len(traced)
-    ok = round_trip and distinct and max_res < 1e-8 * (1 + np.abs(pts).max())
+    # The paper's labelling: the word of a class predicts its net.
+    match = traced == [nets.net_from_ballot(pc.ballot, pts).matching
+                       for pc in classes]
+    ok = round_trip and distinct and match \
+        and max_res < 1e-8 * (1 + np.abs(pts).max())
     return {"command": "verify", "d": d, "points": _vec(pts),
             "classes": len(classes), "round_trip_ok": round_trip,
-            "nets_distinct": distinct, "max_residual": _round(max_res),
-            "ok": bool(ok)}
+            "nets_distinct": distinct, "nets_match_ballot": match,
+            "max_residual": _round(max_res), "ok": bool(ok)}
 
 
 def _open(path):
@@ -167,6 +175,14 @@ def _open(path):
         return open(path, "w", newline="")
     except OSError as e:
         raise InvalidInput(f"cannot write {path}: {e.strerror}") from None
+
+
+def _check_folder(path):
+    """The SVG names depend on the number of nets: check their directory."""
+    folder = os.path.dirname(path) or "."
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise InvalidInput(f"cannot write {path}: {folder} is not a "
+                           "writable directory")
 
 
 def _svg_arc(pts, sx, sy, mirror=False):
@@ -209,15 +225,13 @@ def emit_svg(traced, path):
             fh.write("\n".join(parts))
 
 
-def _emit_csv(traced, path):
-    with _open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["net", "arc_lo", "arc_hi", "re", "im"])
-        for i, net in enumerate(traced, start=1):
-            for (a, b), pts in sorted(net.arcs.items()):
-                for p in pts:
-                    writer.writerow([i, a, b, f"{p.real:.12g}",
-                                     f"{p.imag:.12g}"])
+def _emit_csv(traced, fh):
+    writer = csv.writer(fh)
+    writer.writerow(["net", "arc_lo", "arc_hi", "re", "im"])
+    for i, net in enumerate(traced, start=1):
+        for (a, b), pts in sorted(net.arcs.items()):
+            for p in pts:
+                writer.writerow([i, a, b, f"{p.real:.12g}", f"{p.imag:.12g}"])
 
 
 COMMANDS = {

@@ -8,10 +8,14 @@ distinguished rightmost vertex this matching determines the class.
 
 Tracing works on the real function phi(z) = Im(q1(z) * conj(q2(z))),
 whose zero set away from the real axis is exactly Im g = 0 -- this avoids
-any special handling of poles of g along the curve.  Steps shrink near
-the vertices, and an arc lands on a vertex within 0.05 times the smallest
-gap between vertices, so that a pair of critical points closer together
-than the step still gets two arcs of its own.
+any special handling of poles of g along the curve.  `trace_net` traces
+the arcs of all classes given in lockstep, as one complex NumPy state,
+from both ends, which must pair up.  Each arc keeps its own tangent,
+step, scale and flags and leaves the stack when it lands, so its polyline
+does not depend on the rest of the stack.  An arc launches vertically at
+CAPTURE times the smallest gap between its class's vertices, steps
+shrink near the vertices, and it lands on a vertex within that radius,
+so a pair of critical points closer than the step gets two arcs.
 """
 
 from dataclasses import dataclass, field
@@ -28,8 +32,8 @@ from .errors import InvalidInput, TraceLost
 STEP = 1e-2
 SHRINK = 0.5
 MAX_STEPS = 100000
-# An arc lands on a vertex within CAPTURE times the smallest gap between
-# vertices, once it has been ten times that far from its start.
+# An arc starts and lands within CAPTURE times the smallest gap between
+# vertices; it may land once it has been ten times that far from its start.
 CAPTURE = 0.05
 
 
@@ -41,121 +45,143 @@ class Net:
     arcs: dict = field(default_factory=dict, compare=False)
 
 
-def _horner(c, z):
-    """c[0] + c[1] z + ... by Horner's rule; c is a tuple of floats and z a
-    Python complex, so that every operation stays a scalar one."""
-    acc = c[-1] + z * 0
-    for ck in c[-2::-1]:
-        acc = ck + acc * z
-    return acc
+def _phi_and_gradient(C, z):
+    """phi = Im(q1 conj(q2)) and its real gradient as a complex number at
+    one point z per arc.  C holds the coefficients of (q1, q2, q1', q2') of
+    every arc, shape (4, degree + 1, arcs); Horner's rule runs along
+    axis 1."""
+    v = C[:, -1]
+    for k in range(C.shape[1] - 2, -1, -1):
+        v = C[:, k] + v * z
+    v1, v2, d1, d2 = v
+    c2 = v2.conj()
+    # grad = 2 dphi/dconj(z) = i (conj(q1' conj(q2)) - q1 conj(q2'))
+    return (v1 * c2).imag, 1j * ((d1 * c2).conj() - v1 * d2.conj())
 
 
-def _phi_and_gradient(polys, z):
-    """phi = Im(q1 conj(q2)) and its real gradient as a complex number;
-    polys = (q1, q2, q1', q2') as float tuples."""
-    v1, v2, d1, d2 = (_horner(c, z) for c in polys)
-    phi = (v1 * v2.conjugate()).imag
-    u = d1 * v2.conjugate()
-    w = v1 * d2.conjugate()
-    gx = (u + w).imag
-    gy = (u - w).real
-    return phi, gx + 1j * gy
-
-
-def _correct(polys, z, scale):
-    """Newton steps transverse to the level curve phi = 0."""
+def _correct(C, z, tol):
+    """Up to 12 Newton steps transverse to the level curve phi = 0; an arc
+    is frozen once its step is below tol, once its step no longer halves
+    (it has reached rounding noise), or where the gradient vanishes."""
+    live = np.ones(z.shape, dtype=bool)
+    last = np.full(z.shape, np.inf)
     for _ in range(12):
-        phi, grad = _phi_and_gradient(polys, z)
-        g2 = grad.real ** 2 + grad.imag ** 2
-        if g2 == 0.0:
-            break
-        # Complex by real as NumPy divides: times the reciprocal, which
-        # the traced polylines are reproducible against.
-        dz = phi * grad * (1.0 / g2)
+        phi, grad = _phi_and_gradient(C, z)
+        live &= grad != 0.0
+        # phi grad / |grad|^2, and no step for a frozen arc
+        dz = np.divide(phi, grad.conj(), out=np.zeros_like(z), where=live)
         z = z - dz
-        if abs(dz) < 1e-14 * scale:
+        size = np.abs(dz)
+        live &= (size >= tol) & (size < 0.5 * last)
+        last = size
+        if not live.any():
             break
     return z
 
 
-def _trace_arc(q1, q2, start, vertices, upward=True):
-    """Follow the level curve leaving `start` vertically, return
-    (endpoint vertex index, polyline)."""
-    polys = tuple(tuple(float(c) for c in p) for p in
-                  (q1, q2, P.polyder(q1), P.polyder(q2)))
-    scale = float(1 + np.abs(vertices).max())
-    R = 10.0 * scale
-    sign = 1.0 if upward else -1.0
-    delta = 1e-7 * scale
-    start = float(start)
-    z = start + sign * 1j * delta
-    pts = [complex(start), z]
-    tangent_prev = sign * 1j
-    h = STEP * scale
-    min_h = 1e-7 * scale
-    capture = CAPTURE * np.diff(vertices).min()
-    launched = False
+def _sweep(C, x, V, capture, scale, sign, names):
+    """Trace every arc from its start vertex x until it lands; returns the
+    index of the vertex each arc lands on and its polyline.  Column j of V
+    holds the vertices of arc j's class, padded with inf; names[j] heads
+    the errors of arc j.  A polyline is a list, one point per step."""
+    n = x.size
+    ends = np.zeros(n, dtype=int)
+    arc = np.arange(n)
+    z = x + sign * 1j * capture
+    tangent = np.full(n, sign * 1j)
+    launched = np.zeros(n, dtype=bool)
+    dist = np.abs(z - V).min(axis=0)
+    lines = [[complex(a), b] for a, b in zip(x.tolist(), z.tolist())]
+
+    def lost(mask, reason):
+        raise TraceLost(f"{names[arc[mask].min()]}: {reason}")
+
     for _ in range(MAX_STEPS):
-        _, grad = _phi_and_gradient(polys, z)
-        if grad == 0.0:
-            raise TraceLost("level curve tangent vanished")
-        t = (-grad.imag + 1j * grad.real)
-        t = t * (1.0 / abs(t))          # as in _correct
-        if (t * tangent_prev.conjugate()).real < 0:
-            t = -t
-        dist = float(np.abs(z - vertices).min())
-        step = min(h, max(0.25 * dist, min_h))
-        z_new = _correct(polys, z + step * t, scale)
+        _, grad = _phi_and_gradient(C, z)
+        if not grad.all():
+            lost(grad == 0.0, "level curve tangent vanished")
+        t = 1j * grad / np.abs(grad)
+        t = np.where((t * tangent.conj()).real < 0, -t, t)
+        min_h = 1e-7 * scale
+        step = np.minimum(STEP * scale, np.maximum(0.25 * dist, min_h))
+        new = _correct(C, z + step * t, 1e-14 * scale)
         # reject correction blow-ups by halving the step
-        while abs(z_new - z) > 3 * step and step > min_h:
-            step *= SHRINK
-            z_new = _correct(polys, z + step * t, scale)
-        tangent_prev = t
-        z = z_new
-        pts.append(z)
-        if abs(z) > R:
-            raise TraceLost("curve left the bounding box")
-        if not launched:
-            if abs(z - start) > 10 * capture:
-                launched = True
-            continue
-        k = int(np.argmin(np.abs(z - vertices)))
-        if abs(z - vertices[k]) < capture:
-            pts.append(complex(vertices[k]))
-            return k, np.array(pts)
-    raise TraceLost("step budget exhausted before landing")
+        bad = (np.abs(new - z) > 3 * step) & (step > min_h)
+        while bad.any():
+            step = np.where(bad, step * SHRINK, step)
+            new = np.where(bad, _correct(C, z + step * t, 1e-14 * scale), new)
+            bad &= (np.abs(new - z) > 3 * step) & (step > min_h)
+        tangent, z = t, new
+        for j, p in zip(arc.tolist(), z.tolist()):
+            lines[j].append(p)
+        inside = np.abs(z) <= 10.0 * scale
+        if not inside.all():
+            lost(~inside, "curve left the bounding box")
+        gaps = np.abs(z - V)
+        dist = gaps.min(axis=0)
+        land = launched & (dist < capture)
+        launched = launched | (np.abs(z - x) > 10 * capture)
+        if land.any():
+            ends[arc[land]] = k = gaps[:, land].argmin(axis=0)
+            for j, p in zip(arc[land].tolist(), V[k, land].tolist()):
+                lines[j].append(complex(p))
+            if land.all():
+                break
+            arc, C, x, V, capture, scale, z, tangent, launched, dist = (
+                a[..., ~land] for a in (arc, C, x, V, capture, scale, z,
+                                        tangent, launched, dist))
+    else:
+        lost(arc >= 0, "step budget exhausted before landing")
+    return ends, [np.array(p) for p in lines]
 
 
-def trace_net(pc, upward=True):
-    """Trace all upper-half-plane arcs of a real class; raises InvalidInput
-    for a class, or critical points, that are not real."""
-    coeffs = np.concatenate([pc.q1, pc.q2])
-    if np.abs(coeffs.imag).max() > 1e-8 * np.abs(coeffs).max():
-        raise InvalidInput("coefficients must be real")
-    q1, q2 = np.real(pc.q1), np.real(pc.q2)
-    w = poly.wronskian(q1, q2)
-    if w.size != 2 * pc.d - 1:
-        raise TraceLost("critical point at infinity")
-    vertices = poly.real_roots(w)
-    ends = {}
-    arcs = {}
-    for i, x in enumerate(vertices):
-        k, pts = _trace_arc(q1, q2, x, vertices, upward=upward)
-        ends[i] = k
-        arcs[i] = pts
-    pairs = set()
-    polylines = {}
-    for i, k in ends.items():
-        if k == i or ends.get(k) != i:
-            raise TraceLost("arc endpoints do not pair up")
-        a, b = sorted((i + 1, k + 1))
-        pairs.add((a, b))
-        polylines[(a, b)] = arcs[a - 1]
-    matching = frozenset(pairs)
-    if 2 * len(matching) != vertices.size or not is_noncrossing(matching):
-        raise TraceLost("traced arcs do not form a non-crossing matching")
-    return Net(vertices=tuple(vertices), matching=matching,
-               distinguished=vertices.size, arcs=polylines)
+def trace_net(classes, upward=True):
+    """Trace all upper-half-plane arcs of every real class, one Net per
+    class; raises InvalidInput for a class, or critical points, that are
+    not real."""
+    classes, polys, verts = list(classes), [], []
+    for pc in classes:
+        coeffs = np.concatenate([pc.q1, pc.q2])
+        if np.abs(coeffs.imag).max() > 1e-8 * np.abs(coeffs).max():
+            raise InvalidInput("coefficients must be real")
+        q1, q2 = np.real(pc.q1), np.real(pc.q2)
+        w = poly.wronskian(q1, q2)
+        if w.size != 2 * pc.d - 1:
+            raise TraceLost(f"word {pc.ballot}: critical point at infinity")
+        polys.append((q1, q2, P.polyder(q1), P.polyder(q2)))
+        verts.append(poly.real_roots(w))
+    if not classes:
+        return []
+    at = np.cumsum([0] + [v.size for v in verts])    # first arc per class
+    C = np.zeros((4, max(p.size for ps in polys for p in ps), at[-1]))
+    V = np.full((max(v.size for v in verts), at[-1]), np.inf)
+    capture, scale, names = np.zeros(at[-1]), np.zeros(at[-1]), []
+    for pc, ps, v, lo, hi in zip(classes, polys, verts, at, at[1:]):
+        for row, p in zip(C, ps):
+            row[:p.size, lo:hi] = p[:, None]
+        V[:v.size, lo:hi] = v[:, None]
+        capture[lo:hi] = CAPTURE * np.diff(v).min()
+        scale[lo:hi] = 1 + np.abs(v).max()
+        names += [f"word {pc.ballot}, arc from vertex {i + 1}"
+                  for i in range(v.size)]
+    ends, lines = _sweep(C, np.concatenate(verts), V, capture, scale,
+                         1.0 if upward else -1.0, names)
+    out = []
+    for pc, v, lo in zip(classes, verts, at):
+        end, polylines = ends[lo:lo + v.size], {}
+        for i, k in enumerate(end):
+            if k == i or end[k] != i:
+                raise TraceLost(f"{names[lo + i]}: arc endpoints do not "
+                                "pair up")
+            a, b = sorted((i + 1, int(k) + 1))
+            polylines[(a, b)] = lines[lo + a - 1]
+        matching = frozenset(polylines)
+        if not is_noncrossing(matching):
+            raise TraceLost(f"word {pc.ballot}: traced arcs do not form a "
+                            "non-crossing matching")
+        out.append(Net(vertices=tuple(v), matching=matching,
+                       distinguished=v.size, arcs=polylines))
+    return out
 
 
 def net_from_ballot(sigma, vertices):

@@ -165,7 +165,7 @@ def test_criterion_7_net_invariance_and_distinctness(solve_runs):
             per_time = set()
             for at_t in moved:
                 assert at_t[i].ballot == pc.ballot
-                net = nets.trace_net(at_t[i])
+                net = nets.trace_net([at_t[i]])[0]
                 assert len(net.matching) == d - 1
                 assert all(x != y for x, y in net.matching)
                 from wronski.combinat import is_noncrossing

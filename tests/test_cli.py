@@ -213,6 +213,33 @@ def test_unwritable_output_path_exit2(tmp_path, args):
     assert not missing.exists()
 
 
+@pytest.mark.parametrize("flag", ["--svg", "--csv"])
+def test_unwritable_net_output_fails_before_solving(tmp_path, monkeypatch,
+                                                    flag):
+    def solve_all(*args, **kwargs):
+        raise AssertionError("solved before checking the output path")
+
+    monkeypatch.setattr(tracker, "solve_all", solve_all)
+    code, text = cli.run(["net", "--points", "-2,-1,1,2", flag,
+                          str(tmp_path / "missing" / f"x.{flag[2:]}")])
+    assert code == 2
+    assert "cannot write" in json.loads(text)["error"]
+
+
+def test_verify_checks_nets_against_ballots(monkeypatch):
+    code, text = cli.run(["verify", "--points", "-2,-1,1,2"])
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["nets_match_ballot"] and doc["ok"]
+    # A labelling that swaps the two words' nets must fail the check.
+    swapped = {"1122": "1212", "1212": "1122"}
+    predict = nets.net_from_ballot
+    monkeypatch.setattr(nets, "net_from_ballot",
+                        lambda w, pts: predict(swapped[w], pts))
+    doc = json.loads(cli.run(["verify", "--points", "-2,-1,1,2"])[1])
+    assert not doc["nets_match_ballot"] and not doc["ok"]
+
+
 def test_json_file_output(tmp_path):
     path = tmp_path / "out.json"
     code, out = run_cli("count", "--d", "3", "--json", str(path))
@@ -272,9 +299,9 @@ INPUT_ERRORS = {
     "NegativeDiscriminant": lambda: fuchs.prop6_check([10, 10], [1, 2]),
     "NegativeParameter": lambda: seeds.apply_F(
         1, -1.0, seeds.initial_pair(3)),
-    "NonRealInput": lambda: nets.trace_net(tracker.PairClass(
+    "NonRealInput": lambda: nets.trace_net([tracker.PairClass(
         q1=np.array([1j, 1]), q2=np.array([1, 0, 1], dtype=complex),
-        chart=tracker.Chart(0.0, 2), ballot="")),
+        chart=tracker.Chart(0.0, 2), ballot="")])[0],
     "NonzeroResidue": lambda: electro.second_solution([-1.0, 0.0, 1.0],
                                                       [-0.5, 1.0]),
     "NotPermitted": lambda: seeds.apply_F(2, 0.1, seeds.initial_pair(3)),

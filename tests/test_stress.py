@@ -12,9 +12,13 @@ root bound.
 The `bethe` and `net` commands must also run on clustered sets at d = 4
 to 6, with every sector's count of Bethe solutions and every traced net
 as its word predicts, and `equilibrium --m 2` must find every one of its
-C(n, 2) - C(n, 1) equilibria on one of them.
+C(n, 2) - C(n, 1) equilibria on one of them.  Every class's traced net,
+upward and downward, must be the one its word predicts on every kind at
+d = 4 to 6, and tracing a class in a stack of classes must give the same
+polylines as tracing it alone.
 """
 
+import functools
 import json
 from collections import Counter
 from math import comb
@@ -77,11 +81,16 @@ def stress_points(kind, d, seed):
     return np.sort(KINDS[kind](rng, 2 * d - 2))
 
 
+@functools.lru_cache(maxsize=None)
+def _solved(kind, d, seed):
+    return tracker.solve_all(stress_points(kind, d, seed), d)
+
+
 @pytest.mark.parametrize("kind, d, seed", [
     pytest.param(*case, id="{}-d{}-s{}".format(*case)) for case in CASES])
 def test_solve_all_stress(kind, d, seed):
     pts = stress_points(kind, d, seed)
-    classes = tracker.solve_all(pts, d)
+    classes = _solved(kind, d, seed)
     assert len(classes) == catalan(d)
     for pc in classes:
         backward, forward = _errors(pc.q1, pc.q2, pts)
@@ -107,6 +116,32 @@ def test_clustered_bethe_and_net_commands(d):
     for net in traced:
         predicted = nets.net_from_ballot(net["ballot"], pts).matching
         assert net["matching"] == sorted(list(p) for p in predicted)
+
+
+NET_CASES = [(kind, d, seed) for kind in KINDS for d in (4, 5, 6)
+             for seed in (1, 2)] + [("uniform", 7, 1)]
+
+
+@pytest.mark.parametrize("kind, d, seed", [
+    pytest.param(*case, id="{}-d{}-s{}".format(*case))
+    for case in NET_CASES])
+@pytest.mark.parametrize("upward", [True, False], ids=["up", "down"])
+def test_traced_nets_match_ballots(kind, d, seed, upward):
+    pts = stress_points(kind, d, seed)
+    classes = _solved(kind, d, seed)
+    for pc, net in zip(classes, nets.trace_net(classes, upward=upward)):
+        assert net.matching == \
+            nets.net_from_ballot(pc.ballot, pts).matching, pc.ballot
+
+
+@pytest.mark.parametrize("kind", ["uniform", "clustered"])
+def test_stacked_trace_equals_single_trace(kind):
+    classes = _solved(kind, 5, 1)
+    for pc, net in zip(classes, nets.trace_net(classes)):
+        alone = nets.trace_net([pc])[0]
+        assert net.arcs.keys() == alone.arcs.keys()
+        for key, arc in net.arcs.items():
+            assert np.array_equal(arc, alone.arcs[key]), (pc.ballot, key)
 
 
 def test_clustered_equilibrium_command():
