@@ -43,7 +43,6 @@ def _class_doc(pc, points):
     # are taken at the given points, the equation's singular points.
     w_roots = np.sort(pc.wronskian_roots().real)
     x = fuchs.residues((pc.q1, pc.q2), points)
-    _, _, s = fuchs.prop6_check(x, points)
     net = nets.net_from_ballot(pc.ballot, points)
     return {
         "ballot": pc.ballot,
@@ -52,7 +51,8 @@ def _class_doc(pc, points):
         "q2_coeffs": _vec(pc.q2),
         "wronskian_roots": _vec(w_roots),
         "residues_x": _vec(x),
-        "s": int(round(s)),
+        # the class's Bethe sector, read off its degree pair
+        "s": pc.d - pc.chart.e,
         "net_matching": sorted(list(p) for p in net.matching),
         "diagnostics": {
             "residual": _round(np.abs(w_roots - points).max()),
@@ -129,7 +129,7 @@ def cmd_net(args):
         _check_folder(args.svg)
     with _open(args.csv) if args.csv else contextlib.nullcontext() as fh:
         classes, d = _solve(args.points, args.d)
-        traced = nets.trace_net(classes)
+        traced = nets.trace_net(classes, args.points)
         if args.svg:
             emit_svg(traced, args.svg)
         if fh:
@@ -155,7 +155,7 @@ def cmd_verify(args):
         lo, hi = fuchs.polynomial_solutions(pts, x)
         if not poly.span_equivalent((lo, hi), (pc.q1, pc.q2), tol=1e-6):
             round_trip = False
-    traced = [net.matching for net in nets.trace_net(classes)]
+    traced = [net.matching for net in nets.trace_net(classes, pts)]
     distinct = len(set(traced)) == len(traced)
     # The paper's labelling: the word of a class predicts its net.
     match = traced == [nets.net_from_ballot(pc.ballot, pts).matching

@@ -83,7 +83,10 @@ def bethe_residual(x, a):
 
 
 def prop6_check(x, a):
-    """(sum of x, q* = sum x_k a_k, s = sqrt((n+1)^2 - 4 q*))."""
+    """Proposition 6 for residues x that a caller supplies: (sum of x,
+    q* = sum x_k a_k, s = sqrt((n+1)^2 - 4 q*)); raises InvalidInput where
+    (n+1)^2 - 4 q* is below -1e-9, which no solution of the system has.
+    The solver's classes read s off their degree pair instead, s = d - e."""
     x = np.asarray(x, dtype=float)
     a = np.asarray(a, dtype=float)
     n = a.size
@@ -146,10 +149,11 @@ def bethe_sector(a, e):
         # + 0.0 turns the -0.0 of a zero residue over a negative A'(a_k)
         # into 0.0
         x = _refine(residues((cls.q1, cls.q2), a), a) + 0.0
-        _, qstar, s = prop6_check(x, a)
+        qstar = float((x * a).sum())
         F = np.append(bethe_residual(x, a), x.sum())
         if np.any(np.abs(F) > 1e-9 * _term_size(x, a)) \
-                or abs(s * s - (d - e) ** 2) > 4e-9 * np.abs(x * a).sum():
+                or abs((n + 1) ** 2 - 4 * qstar - (d - e) ** 2) \
+                > 4e-9 * np.abs(x * a).sum():
             raise NotASolution(f"sector e={e}, word {cls.ballot}: residues "
                                "fail the Bethe check")
         out.append(BetheSolution(a=a, x=x, s=d - e, qstar=qstar,

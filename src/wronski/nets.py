@@ -9,13 +9,15 @@ distinguished rightmost vertex this matching determines the class.
 Tracing works on the real function phi(z) = Im(q1(z) * conj(q2(z))),
 whose zero set away from the real axis is exactly Im g = 0 -- this avoids
 any special handling of poles of g along the curve.  `trace_net` traces
-the arcs of all classes given in lockstep, as one complex NumPy state,
-from both ends, which must pair up.  Each arc keeps its own tangent,
-step, scale and flags and leaves the stack when it lands, so its polyline
-does not depend on the rest of the stack.  An arc launches vertically at
-CAPTURE times the smallest gap between its class's vertices, steps
-shrink near the vertices, and it lands on a vertex within that radius,
-so a pair of critical points closer than the step gets two arcs.
+the arcs of all classes of one point set in lockstep, as one complex
+NumPy state, from both ends, which must pair up.  The vertices are the
+given critical points, not computed roots of the Wronskian, so every
+class shares them.  Each arc keeps its own tangent, step and flags and
+leaves the stack when it lands, so its polyline does not depend on the
+rest of the stack.  An arc launches vertically at CAPTURE times the
+smallest gap between the points, steps shrink near the vertices, and it
+lands on a vertex within that radius, so a pair of critical points
+closer than the step gets two arcs.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from . import poly
+from . import tracker
 from .combinat import ballot_to_matching, is_noncrossing
 from .errors import InvalidInput, TraceLost
 
@@ -81,8 +83,8 @@ def _correct(C, z, tol):
 
 def _sweep(C, x, V, capture, scale, sign, names):
     """Trace every arc from its start vertex x until it lands; returns the
-    index of the vertex each arc lands on and its polyline.  Column j of V
-    holds the vertices of arc j's class, padded with inf; names[j] heads
+    index of the vertex in V each arc lands on and its polyline.  Every arc
+    shares the vertices V, the capture radius and the scale; names[j] heads
     the errors of arc j.  A polyline is a list, one point per step."""
     n = x.size
     ends = np.zeros(n, dtype=int)
@@ -90,8 +92,10 @@ def _sweep(C, x, V, capture, scale, sign, names):
     z = x + sign * 1j * capture
     tangent = np.full(n, sign * 1j)
     launched = np.zeros(n, dtype=bool)
-    dist = np.abs(z - V).min(axis=0)
+    column = V[:, None]
+    dist = np.abs(z - column).min(axis=0)
     lines = [[complex(a), b] for a, b in zip(x.tolist(), z.tolist())]
+    min_h, tol = 1e-7 * scale, 1e-14 * scale
 
     def lost(mask, reason):
         raise TraceLost(f"{names[arc[mask].min()]}: {reason}")
@@ -102,14 +106,13 @@ def _sweep(C, x, V, capture, scale, sign, names):
             lost(grad == 0.0, "level curve tangent vanished")
         t = 1j * grad / np.abs(grad)
         t = np.where((t * tangent.conj()).real < 0, -t, t)
-        min_h = 1e-7 * scale
         step = np.minimum(STEP * scale, np.maximum(0.25 * dist, min_h))
-        new = _correct(C, z + step * t, 1e-14 * scale)
+        new = _correct(C, z + step * t, tol)
         # reject correction blow-ups by halving the step
         bad = (np.abs(new - z) > 3 * step) & (step > min_h)
         while bad.any():
             step = np.where(bad, step * SHRINK, step)
-            new = np.where(bad, _correct(C, z + step * t, 1e-14 * scale), new)
+            new = np.where(bad, _correct(C, z + step * t, tol), new)
             bad &= (np.abs(new - z) > 3 * step) & (step > min_h)
         tangent, z = t, new
         for j, p in zip(arc.tolist(), z.tolist()):
@@ -117,58 +120,55 @@ def _sweep(C, x, V, capture, scale, sign, names):
         inside = np.abs(z) <= 10.0 * scale
         if not inside.all():
             lost(~inside, "curve left the bounding box")
-        gaps = np.abs(z - V)
+        gaps = np.abs(z - column)
         dist = gaps.min(axis=0)
         land = launched & (dist < capture)
         launched = launched | (np.abs(z - x) > 10 * capture)
         if land.any():
             ends[arc[land]] = k = gaps[:, land].argmin(axis=0)
-            for j, p in zip(arc[land].tolist(), V[k, land].tolist()):
+            for j, p in zip(arc[land].tolist(), V[k].tolist()):
                 lines[j].append(complex(p))
             if land.all():
                 break
-            arc, C, x, V, capture, scale, z, tangent, launched, dist = (
-                a[..., ~land] for a in (arc, C, x, V, capture, scale, z,
-                                        tangent, launched, dist))
+            arc, C, x, z, tangent, launched, dist = (
+                a[..., ~land] for a in (arc, C, x, z, tangent, launched,
+                                        dist))
     else:
         lost(arc >= 0, "step budget exhausted before landing")
     return ends, [np.array(p) for p in lines]
 
 
-def trace_net(classes, upward=True):
-    """Trace all upper-half-plane arcs of every real class, one Net per
-    class; raises InvalidInput for a class, or critical points, that are
-    not real."""
-    classes, polys, verts = list(classes), [], []
+def trace_net(classes, points, upward=True):
+    """Trace all upper-half-plane arcs of every real class whose critical
+    points are the given points, one Net per class; the sorted points are
+    the vertices of every net.  Raises InvalidInput for a class that is not
+    real, or for points that fail tracker.distinct_points or are not
+    2d - 2."""
+    classes, v, polys = list(classes), tracker.distinct_points(points), []
     for pc in classes:
         coeffs = np.concatenate([pc.q1, pc.q2])
         if np.abs(coeffs.imag).max() > 1e-8 * np.abs(coeffs).max():
             raise InvalidInput("coefficients must be real")
+        if v.size != 2 * pc.d - 2:
+            raise InvalidInput(f"need 2d - 2 = {2 * pc.d - 2} points")
         q1, q2 = np.real(pc.q1), np.real(pc.q2)
-        w = poly.wronskian(q1, q2)
-        if w.size != 2 * pc.d - 1:
-            raise TraceLost(f"word {pc.ballot}: critical point at infinity")
         polys.append((q1, q2, P.polyder(q1), P.polyder(q2)))
-        verts.append(poly.real_roots(w))
     if not classes:
         return []
-    at = np.cumsum([0] + [v.size for v in verts])    # first arc per class
-    C = np.zeros((4, max(p.size for ps in polys for p in ps), at[-1]))
-    V = np.full((max(v.size for v in verts), at[-1]), np.inf)
-    capture, scale, names = np.zeros(at[-1]), np.zeros(at[-1]), []
-    for pc, ps, v, lo, hi in zip(classes, polys, verts, at, at[1:]):
+    n = v.size
+    C = np.zeros((4, max(p.size for ps in polys for p in ps),
+                  n * len(classes)))
+    for lo, ps in zip(range(0, C.shape[2], n), polys):
         for row, p in zip(C, ps):
-            row[:p.size, lo:hi] = p[:, None]
-        V[:v.size, lo:hi] = v[:, None]
-        capture[lo:hi] = CAPTURE * np.diff(v).min()
-        scale[lo:hi] = 1 + np.abs(v).max()
-        names += [f"word {pc.ballot}, arc from vertex {i + 1}"
-                  for i in range(v.size)]
-    ends, lines = _sweep(C, np.concatenate(verts), V, capture, scale,
+            row[:p.size, lo:lo + n] = p[:, None]
+    names = [f"word {pc.ballot}, arc from vertex {i + 1}"
+             for pc in classes for i in range(n)]
+    ends, lines = _sweep(C, np.tile(v, len(classes)), v,
+                         CAPTURE * np.diff(v).min(), 1 + np.abs(v).max(),
                          1.0 if upward else -1.0, names)
     out = []
-    for pc, v, lo in zip(classes, verts, at):
-        end, polylines = ends[lo:lo + v.size], {}
+    for pc, lo in zip(classes, range(0, C.shape[2], n)):
+        end, polylines = ends[lo:lo + n], {}
         for i, k in enumerate(end):
             if k == i or end[k] != i:
                 raise TraceLost(f"{names[lo + i]}: arc endpoints do not "
@@ -180,7 +180,7 @@ def trace_net(classes, upward=True):
             raise TraceLost(f"word {pc.ballot}: traced arcs do not form a "
                             "non-crossing matching")
         out.append(Net(vertices=tuple(v), matching=matching,
-                       distinguished=v.size, arcs=polylines))
+                       distinguished=n, arcs=polylines))
     return out
 
 

@@ -50,18 +50,6 @@ def roots(c):
     return np.sort_complex(P.polyroots(a))
 
 
-def real_roots(c):
-    """Roots of a real polynomial asserted to be real; sorted ascending.
-    Raises InvalidInput where one has an imaginary part above 1e-8 of
-    1 + max|root|."""
-    r = roots(c)
-    scale = 1.0 + np.abs(r).max() if r.size else 1.0
-    if r.size and np.abs(r.imag).max() > 1e-8 * scale:
-        raise InvalidInput(
-            "polynomial has roots with non-negligible imaginary part")
-    return np.sort(r.real)
-
-
 def compose_affine(c, alpha, beta):
     """Coefficients of p(alpha*z + beta), by Horner's rule: each step
     multiplies the partial result by alpha*z + beta in place."""

@@ -158,14 +158,16 @@ def test_criterion_7_net_invariance_and_distinctness(solve_runs):
     for d in (3, 4):
         p0, classes = solve_runs[(d, 0)]
         p1, _ = solve_runs[(d, 1)]
-        moved = [classes, *(tracker.solve_all((1 - t) * p0 + t * p1, d)
-                            for t in (0.5, 1.0))]
+        moved = [(p0, classes)]
+        for t in (0.5, 1.0):
+            pts = (1 - t) * p0 + t * p1
+            moved.append((pts, tracker.solve_all(pts, d)))
         matchings = set()
         for i, pc in enumerate(classes):
             per_time = set()
-            for at_t in moved:
+            for pts, at_t in moved:
                 assert at_t[i].ballot == pc.ballot
-                net = nets.trace_net([at_t[i]])[0]
+                net = nets.trace_net([at_t[i]], pts)[0]
                 assert len(net.matching) == d - 1
                 assert all(x != y for x, y in net.matching)
                 from wronski.combinat import is_noncrossing

@@ -6,11 +6,13 @@ import sys
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wronski import (cli, combinat, electro, fuchs, nets, poly, seeds,
                      tracker)
 from wronski.electro import ChargeConfig
-from wronski.errors import WronskiError
+from wronski.errors import InvalidInput, WronskiError
 
 SCHEMA = json.load(open(os.path.join(os.path.dirname(cli.__file__),
                                      "schema.json")))
@@ -157,6 +159,43 @@ def test_solve_too_close_to_carry_back_is_stuck():
     assert json.loads(text)["kind"] == "PathStuck"
 
 
+@st.composite
+def affine_point_sets(draw):
+    """beta + alpha u for n in {2, 4, 6} points u 1e-3 to 1 apart, with
+    |alpha| in [1e-8, 1e8] and |beta| <= 1e8."""
+    n = draw(st.sampled_from([2, 4, 6]))
+    u = np.cumsum(draw(st.lists(st.floats(1e-3, 1.0), min_size=n,
+                                max_size=n)))
+    alpha = draw(st.sampled_from([-1.0, 1.0])) \
+        * 10.0 ** draw(st.floats(-8.0, 8.0))
+    beta = draw(st.floats(-1e8, 1e8))
+    return [beta + alpha * float(t) for t in u]
+
+
+@given(affine_point_sets())
+# a packed-right layout of the solve-clustered benchmark at d=5
+@example([-3.288655, -3.287983, 4.480525, 4.48079, 4.773124, 4.773329,
+          4.999556, 5.000444])
+# residues at a pair 2e-12 apart are far off; s comes from the degrees
+@example([1.0, 1.000000000002])
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_valid_points_never_exit_2(points):
+    """Points that distinct_points accepts are valid input: every command
+    exits 0, or 1 for a numerical failure, and never 2."""
+    try:
+        tracker.distinct_points(points)
+    except InvalidInput:
+        return
+    arg = "--points=" + ",".join(map(repr, points))
+    for cmd in (["solve"], ["net"], ["verify"], ["bethe"],
+                ["equilibrium", "--m", "1"]):
+        code, text = cli.run([*cmd, arg])
+        assert code in (0, 1), (cmd, text)
+        if cmd == ["solve"] and code == 0:
+            # every class has the degree pair (d - 1, d)
+            assert {cls["s"] for cls in json.loads(text)["classes"]} == {1}
+
+
 def test_verify_command():
     code, out = run_cli("verify", "--points", "-2,-1,1,2")
     assert code == 0
@@ -301,7 +340,7 @@ INPUT_ERRORS = {
         1, -1.0, seeds.initial_pair(3)),
     "NonRealInput": lambda: nets.trace_net([tracker.PairClass(
         q1=np.array([1j, 1]), q2=np.array([1, 0, 1], dtype=complex),
-        chart=tracker.Chart(0.0, 2), ballot="")])[0],
+        chart=tracker.Chart(0.0, 2), ballot="")], [-1, 1])[0],
     "NonzeroResidue": lambda: electro.second_solution([-1.0, 0.0, 1.0],
                                                       [-0.5, 1.0]),
     "NotPermitted": lambda: seeds.apply_F(2, 0.1, seeds.initial_pair(3)),

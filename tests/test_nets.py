@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wronski import nets, poly, tracker
+from wronski import nets, tracker
 from wronski.combinat import ballot_to_matching, catalan, is_noncrossing
 from wronski.errors import InvalidInput, TraceLost
 
@@ -13,7 +13,7 @@ def _pc(q1, q2, d, ballot=""):
 
 
 def test_trace_simplest_net():
-    net = nets.trace_net([_pc([0, 1], [1, 0, 1], 2)])[0]
+    net = nets.trace_net([_pc([0, 1], [1, 0, 1], 2)], [-1, 1])[0]
     assert net.matching == frozenset({(1, 2)})
     assert net.distinguished == 2
     assert len(net.vertices) == 2
@@ -22,32 +22,27 @@ def test_trace_simplest_net():
 def test_trace_d3_nets_distinct():
     pts = np.array([-2.0, -1.0, 1.0, 2.0])
     classes = tracker.solve_all(pts, 3)
-    matched = {nets.trace_net([pc])[0].matching for pc in classes}
+    matched = {nets.trace_net([pc], pts)[0].matching for pc in classes}
     assert matched == {frozenset({(1, 4), (2, 3)}),
                        frozenset({(1, 2), (3, 4)})}
 
 
 def test_trace_rejects_nonreal():
     with pytest.raises(InvalidInput):
-        nets.trace_net([_pc([1j, 1], [1, 0, 1], 2)])[0]
+        nets.trace_net([_pc([1j, 1], [1, 0, 1], 2)], [-1, 1])[0]
 
 
-def test_trace_propagates_programming_errors(monkeypatch):
-    # Only a failed reality check means non-real critical points; any other
-    # error from the root finder is a bug and must surface as itself.
-    def broken(c):
-        raise TypeError("bug")
-
-    monkeypatch.setattr(poly, "real_roots", broken)
-    with pytest.raises(TypeError):
-        nets.trace_net([_pc([0, 1], [1, 0, 1], 2)])[0]
+def test_trace_rejects_wrong_point_count():
+    # d = 2 has two critical points
+    with pytest.raises(InvalidInput):
+        nets.trace_net([_pc([0, 1], [1, 0, 1], 2)], [-1, 0, 1])
 
 
 def test_trace_lost_names_word_and_vertex(monkeypatch):
     classes = tracker.solve_all(np.array([-2.0, -1.0, 1.0, 2.0]), 3)
     monkeypatch.setattr(nets, "MAX_STEPS", 3)
     with pytest.raises(TraceLost) as info:
-        nets.trace_net(classes)
+        nets.trace_net(classes, [-2.0, -1.0, 1.0, 2.0])
     assert str(info.value) == f"word {classes[0].ballot}, arc from vertex " \
         "1: step budget exhausted before landing"
 
@@ -82,7 +77,7 @@ def test_orientation_calibration_regression():
     for d in (3, 4):
         pts = np.sort(rng.uniform(-3, 3, 2 * d - 2))
         for pc in tracker.solve_all(pts, d):
-            traced = nets.trace_net([pc])[0].matching
+            traced = nets.trace_net([pc], pts)[0].matching
             predicted = nets.net_from_ballot(pc.ballot, pts).matching
             assert traced == predicted, pc.ballot
 
@@ -95,7 +90,7 @@ def test_traced_matchings_well_formed():
             classes = tracker.solve_all(pts, d)
             seen = set()
             for pc in classes:
-                m = nets.trace_net([pc])[0].matching
+                m = nets.trace_net([pc], pts)[0].matching
                 assert len(m) == d - 1
                 assert all(a != b for a, b in m)
                 assert is_noncrossing(m)
@@ -110,9 +105,10 @@ def test_net_invariance_along_homotopy():
     p1 = np.array([-3.0, -0.2, 0.5, 4.0])
     matchings = {}
     for t in (0.0, 0.5, 1.0):
-        for pc in tracker.solve_all((1 - t) * p0 + t * p1, 3):
+        pts = (1 - t) * p0 + t * p1
+        for pc in tracker.solve_all(pts, 3):
             matchings.setdefault(pc.ballot, set()).add(
-                nets.trace_net([pc])[0].matching)
+                nets.trace_net([pc], pts)[0].matching)
     assert sorted(matchings) == ["1122", "1212"]
     assert all(len(m) == 1 for m in matchings.values())
 
@@ -120,8 +116,8 @@ def test_net_invariance_along_homotopy():
 def test_mirror_symmetry():
     pts = np.array([-2.0, -1.0, 1.0, 2.0])
     for pc in tracker.solve_all(pts, 3):
-        up = nets.trace_net([pc], upward=True)[0]
-        down = nets.trace_net([pc], upward=False)[0]
+        up = nets.trace_net([pc], pts, upward=True)[0]
+        down = nets.trace_net([pc], pts, upward=False)[0]
         assert up.matching == down.matching
         for key, arc in up.arcs.items():
             assert max(p.imag for p in arc) >= 0
@@ -129,7 +125,7 @@ def test_mirror_symmetry():
 
 
 def test_arcs_exported_as_polylines():
-    net = nets.trace_net([_pc([0, 1], [1, 0, 1], 2)])[0]
+    net = nets.trace_net([_pc([0, 1], [1, 0, 1], 2)], [-1, 1])[0]
     arc = net.arcs[(1, 2)]
     assert arc.dtype == complex and arc.size > 10
     # arc on the unit circle: |z| = 1 along the whole way

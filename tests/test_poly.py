@@ -82,12 +82,6 @@ def test_pair_independent():
     assert not poly.pair_independent([0.0, 2.0], [0.0, 1.0])
 
 
-def test_real_roots_asserts_reality():
-    with pytest.raises(InvalidInput):
-        poly.real_roots([1.0, 0.0, 1.0])  # z^2 + 1: nothing real
-    assert np.allclose(np.sort(poly.real_roots([-1.0, 0.0, 1.0])), [-1, 1])
-
-
 @given(coeff_arrays(1, 3), coeff_arrays(1, 3), coeff_arrays(1, 3))
 @settings(max_examples=50)
 def test_wronskian_bilinear(f, g, h):

@@ -129,16 +129,17 @@ NET_CASES = [(kind, d, seed) for kind in KINDS for d in (4, 5, 6)
 def test_traced_nets_match_ballots(kind, d, seed, upward):
     pts = stress_points(kind, d, seed)
     classes = _solved(kind, d, seed)
-    for pc, net in zip(classes, nets.trace_net(classes, upward=upward)):
+    traced = nets.trace_net(classes, pts, upward=upward)
+    for pc, net in zip(classes, traced):
         assert net.matching == \
             nets.net_from_ballot(pc.ballot, pts).matching, pc.ballot
 
 
 @pytest.mark.parametrize("kind", ["uniform", "clustered"])
 def test_stacked_trace_equals_single_trace(kind):
-    classes = _solved(kind, 5, 1)
-    for pc, net in zip(classes, nets.trace_net(classes)):
-        alone = nets.trace_net([pc])[0]
+    pts, classes = stress_points(kind, 5, 1), _solved(kind, 5, 1)
+    for pc, net in zip(classes, nets.trace_net(classes, pts)):
+        alone = nets.trace_net([pc], pts)[0]
         assert net.arcs.keys() == alone.arcs.keys()
         for key, arc in net.arcs.items():
             assert np.array_equal(arc, alone.arcs[key]), (pc.ballot, key)
