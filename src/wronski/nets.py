@@ -15,9 +15,19 @@ given critical points, not computed roots of the Wronskian, so every
 class shares them.  Each arc keeps its own tangent, step and flags and
 leaves the stack when it lands, so its polyline does not depend on the
 rest of the stack.  An arc launches vertically at CAPTURE times the
-smallest gap between the points, steps shrink near the vertices, and it
-lands on a vertex within that radius, so a pair of critical points
-closer than the step gets two arcs.
+smallest gap between the points and lands on a vertex within that radius,
+so a pair of critical points closer than the step gets two arcs.  A net
+arc meets the real axis only at its end vertices, so an arc that comes
+down to it anywhere else, as the arc of a class whose critical points miss
+the given points does, raises TraceLost.
+
+Each arc chooses its own step (Allgower and Georg, "Introduction to
+Numerical Continuation Methods", 2003): the step doubles while the
+corrector barely moves the predicted point, where the curve is nearly
+straight at that length, and holds where the curve bends.  It stays below
+a quarter of the distance to the nearest vertex and above a fraction of
+the capture radius, so step lengths follow the gaps between the points,
+not their distance from 0.
 """
 
 from dataclasses import dataclass, field
@@ -29,9 +39,15 @@ from . import tracker
 from .combinat import ballot_to_matching, is_noncrossing
 from .errors import InvalidInput, TraceLost
 
-# Largest step, per unit of 1 + max|vertex|; factor of a step that the
-# corrector threw off the curve; steps per arc.
-STEP = 1e-2
+# An arc's step doubles after a step whose corrector moved the predicted
+# point by less than GROW times the step, and otherwise keeps the step it
+# took.  A step is at most a quarter of the distance to the nearest vertex
+# and LARGEST times the spread of the vertices, and at least FLOOR times the
+# capture radius; SHRINK halves a step the corrector threw off the curve;
+# MAX_STEPS bounds the steps of one arc.
+GROW = 0.02
+LARGEST = 0.1
+FLOOR = 0.01
 SHRINK = 0.5
 MAX_STEPS = 100000
 # An arc starts and lands within CAPTURE times the smallest gap between
@@ -92,10 +108,12 @@ def _sweep(C, x, V, capture, scale, sign, names):
     z = x + sign * 1j * capture
     tangent = np.full(n, sign * 1j)
     launched = np.zeros(n, dtype=bool)
+    h = np.full(n, capture)
     column = V[:, None]
     dist = np.abs(z - column).min(axis=0)
     lines = [[complex(a), b] for a, b in zip(x.tolist(), z.tolist())]
-    min_h, tol = 1e-7 * scale, 1e-14 * scale
+    min_h, max_h = FLOOR * capture, LARGEST * (V[-1] - V[0])
+    tol = 1e-14 * scale
 
     def lost(mask, reason):
         raise TraceLost(f"{names[arc[mask].min()]}: {reason}")
@@ -106,14 +124,19 @@ def _sweep(C, x, V, capture, scale, sign, names):
             lost(grad == 0.0, "level curve tangent vanished")
         t = 1j * grad / np.abs(grad)
         t = np.where((t * tangent.conj()).real < 0, -t, t)
-        step = np.minimum(STEP * scale, np.maximum(0.25 * dist, min_h))
-        new = _correct(C, z + step * t, tol)
+        step = np.minimum(np.minimum(h, max_h),
+                          np.maximum(0.25 * dist, min_h))
+        guess = z + step * t
+        new = _correct(C, guess, tol)
         # reject correction blow-ups by halving the step
         bad = (np.abs(new - z) > 3 * step) & (step > min_h)
         while bad.any():
-            step = np.where(bad, step * SHRINK, step)
-            new = np.where(bad, _correct(C, z + step * t, tol), new)
+            step[bad] *= SHRINK
+            guess[bad] = z[bad] + step[bad] * t[bad]
+            new[bad] = _correct(C[..., bad], guess[bad], tol)
             bad &= (np.abs(new - z) > 3 * step) & (step > min_h)
+        # double the step while the corrector barely moves the prediction
+        h = np.where(np.abs(new - guess) < GROW * step, 2 * step, step)
         tangent, z = t, new
         for j, p in zip(arc.tolist(), z.tolist()):
             lines[j].append(p)
@@ -123,6 +146,10 @@ def _sweep(C, x, V, capture, scale, sign, names):
         gaps = np.abs(z - column)
         dist = gaps.min(axis=0)
         land = launched & (dist < capture)
+        # a net arc meets the real axis only at its end vertices
+        fell = (sign * z.imag < min_h) & ~land
+        if fell.any():
+            lost(fell, "curve reached the real axis away from the vertices")
         launched = launched | (np.abs(z - x) > 10 * capture)
         if land.any():
             ends[arc[land]] = k = gaps[:, land].argmin(axis=0)
@@ -130,9 +157,9 @@ def _sweep(C, x, V, capture, scale, sign, names):
                 lines[j].append(complex(p))
             if land.all():
                 break
-            arc, C, x, z, tangent, launched, dist = (
+            arc, C, x, z, tangent, launched, dist, h = (
                 a[..., ~land] for a in (arc, C, x, z, tangent, launched,
-                                        dist))
+                                        dist, h))
     else:
         lost(arc >= 0, "step budget exhausted before landing")
     return ends, [np.array(p) for p in lines]

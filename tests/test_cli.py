@@ -152,6 +152,13 @@ def test_solve_far_from_the_origin_keeps_the_leading_coefficient():
             for cls in json.loads(text)["classes"]] == [4, 4]
 
 
+def test_net_far_from_the_origin():
+    # The tracer's steps follow the gap of 2, not the distance 1e7 from 0.
+    code, text = cli.run(["net", "--points", "10000000,10000002"])
+    assert code == 0, text
+    assert [net["matching"] for net in json.loads(text)["nets"]] == [[[1, 2]]]
+
+
 def test_solve_too_close_to_carry_back_is_stuck():
     # alpha**2 overflows when the classes are carried back onto the points.
     code, text = cli.run(["solve", "--points", "1e-300,2e-300"])

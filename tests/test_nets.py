@@ -47,6 +47,13 @@ def test_trace_lost_names_word_and_vertex(monkeypatch):
         "1: step budget exhausted before landing"
 
 
+def test_trace_lost_when_class_misses_the_points():
+    # g = z / (1 + z^2) has its critical points at -1 and 1, not at 3, so
+    # the arc from -1 comes down at 1, where no vertex is.
+    with pytest.raises(TraceLost, match="curve reached the real axis"):
+        nets.trace_net([_pc([0, 1], [1, 0, 1], 2)], [-1, 3])
+
+
 def test_net_from_ballot_oracles():
     assert nets.net_from_ballot("12", (-1, 1)).matching == \
         frozenset({(1, 2)})

@@ -15,7 +15,8 @@ as its word predicts, and `equilibrium --m 2` must find every one of its
 C(n, 2) - C(n, 1) equilibria on one of them.  Every class's traced net,
 upward and downward, must be the one its word predicts on every kind at
 d = 4 to 6, and tracing a class in a stack of classes must give the same
-polylines as tracing it alone.
+polylines as tracing it alone.  Tracing stays cheap, in calls of the
+gradient rather than in seconds, and its polylines stay smooth.
 """
 
 import functools
@@ -143,6 +144,40 @@ def test_stacked_trace_equals_single_trace(kind):
         assert net.arcs.keys() == alone.arcs.keys()
         for key, arc in net.arcs.items():
             assert np.array_equal(arc, alone.arcs[key]), (pc.ballot, key)
+
+
+def test_step_control_bounds_gradient_calls(monkeypatch):
+    # Each call evaluates phi and its gradient for the whole stack; the
+    # step control makes about 420 calls here.
+    pts, classes = stress_points("uniform", 5, 1), _solved("uniform", 5, 1)
+    calls, evaluate = [0], nets._phi_and_gradient
+
+    def counted(C, z):
+        calls[0] += 1
+        return evaluate(C, z)
+
+    monkeypatch.setattr(nets, "_phi_and_gradient", counted)
+    nets.trace_net(classes, pts)
+    assert calls[0] <= 600
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_polylines_stay_smooth(kind):
+    """SVG and CSV arcs draw the polylines, so the step control must keep
+    them smooth: the direction turns by at most 0.25 rad from one tracer
+    step to the next, and no chord is longer than a tenth of the distance
+    between the arc's end vertices.  The launch and landing segments,
+    which join the vertices, are left out of the turns."""
+    for d in (4, 5, 6):
+        for seed in (1, 2):
+            pts = stress_points(kind, d, seed)
+            for net in nets.trace_net(_solved(kind, d, seed), pts):
+                for key, arc in net.arcs.items():
+                    seg = np.diff(arc)
+                    turn = np.abs(np.angle(seg[2:-1] / seg[1:-2]))
+                    assert turn.max() <= 0.25, (d, seed, key)
+                    chord = np.abs(seg).max() / abs(arc[-1] - arc[0])
+                    assert chord <= 0.1, (d, seed, key)
 
 
 def test_clustered_equilibrium_command():
