@@ -29,16 +29,17 @@ One stack, _Lockstep, is the only Newton corrector.  It moves the rho_j
 of many charts at one base point linearly in t, each with its own t,
 step size and Newton count, while every evaluation of the rows,
 condition estimate and linear solve is one stacked NumPy call; a node's
-arithmetic and its decisions are those it would make alone.  A node's
-step doubles after every accepted point and halves when a few Newton
-steps cannot correct the predicted one, so the corrector, not a fixed
-cap, sets how many steps a stage takes, within a budget of MAX_TICKS
-ticks.  All trie nodes of one depth share their targets and advance
-together from t = 0, so build_branch, the one-word trie, gives each word
-the class solve_all gives it.  The finished words are renormalized into
-the chart b(0, 1) at a base point away from the critical points, chosen
-by a fixed rule, and polished there down to the noise floor as one stack
-that only corrects, at t = 1 (_polish).
+arithmetic and its decisions are those it would make alone.  A node
+predicts its next point to second order, from the tangents at its last
+two accepted points.  Its step doubles after every accepted point and
+halves when a few Newton steps cannot correct the predicted one, so the
+corrector, not a fixed cap, sets how many steps a stage takes, within a
+budget of MAX_TICKS ticks.  All trie nodes of one depth share their
+targets and advance together from t = 0, so build_branch, the one-word
+trie, gives each word the class solve_all gives it.  The finished words
+are renormalized into the chart b(0, 1) at a base point away from the
+critical points, chosen by a fixed rule, and polished there down to the
+noise floor as one stack that only corrects, at t = 1 (_polish).
 
 The count is checked last.  W(q1, q2) is prescribed, so the span's monic
 member q1 of degree e fixes the class, (q2 / q1)' = W / q1^2: a word whose
@@ -58,7 +59,7 @@ from .seeds import CanonicalPair, apply_F, initial_pair
 
 RESIDUAL_TOL = 1e-10    # staged rows are accepted below this or their floor
 MAX_NEWTON = 3          # Newton steps per point; a miss halves the step
-DT_INIT = 0.05          # first homotopy step in t
+DT_INIT = 0.25          # doubled at the start: the first step, an Euler one
 MAX_TICKS = 100         # ticks a node may use in one stack before PathStuck
 
 _EPS = np.finfo(float).eps
@@ -278,7 +279,7 @@ class _Lockstep:
     A row is accepted below tol (the staged depths pass RESIDUAL_TOL, the
     polish 0), or below its noise floor where that is at most its cap.
     Every node runs the predictor-corrector of a single path: a correction
-    onto rho(t0), then from the rows that accepted u an Euler predictor to
+    onto rho(t0), then from the rows that accepted u a predictor to
     t + step, then up to MAX_NEWTON Newton steps on rho(t + step).  The
     first step is DT_INIT, and every acceptance, the start correction's
     included, doubles it, with step = min(dt, 1 - t): the corrector alone
@@ -290,6 +291,13 @@ class _Lockstep:
     iterate v = base + coef * x: the predictor has coef = step and
     r = -dr (end - start), a Newton step coef = -1.
 
+    The predictor's x is the tangent du/dt at u.  A node keeps the
+    tangent x_prev of the accepted point before u, and its t_prev, and
+    predicts to second order, v = u + h x + h^2/2 (x - x_prev) /
+    (t - t_prev) for h = step.  On the first step of a stage there is no
+    earlier tangent, t_prev = t, and the predictor is Euler's.  A retry
+    from u solves for the same x and keeps the older x_prev.
+
     A tick evaluates the rows of every node, accepts or corrects the
     fresh iterates among them, then makes every node's pending solve:
     each as one stacked call, with per-node masks choosing what each node
@@ -298,7 +306,7 @@ class _Lockstep:
 
     _STATE = ("node", "pos", "start", "rates", "cap", "u", "v", "t", "dt",
               "step", "it", "ticks", "fresh", "J_u", "r_u", "J", "r", "base",
-              "coef", "rho", "weights")
+              "coef", "x_u", "x_prev", "t_prev", "rho", "weights")
 
     def __init__(self, U, pos, d, e, z0, starts, end, t0, cap, tol):
         N, m = U.shape
@@ -319,6 +327,10 @@ class _Lockstep:
         self.J_u, self.r_u = np.zeros((N, m, m)), np.zeros((N, m))
         self.J, self.r, self.base = self.J_u, self.r_u, self.u
         self.coef = np.zeros(N)
+        # The tangent at u, and at the accepted point before u and its t;
+        # t_prev = t while there is no such point.
+        self.x_u, self.x_prev = np.zeros((N, m)), np.zeros((N, m))
+        self.t_prev = self.t.copy()
         self.rho = starts + t0 * self.rates
         self.weights = _lagrange_weights(self.rho)
 
@@ -335,8 +347,20 @@ class _Lockstep:
             self._correct()
         if self.node.size:
             x, ok = _equilibrated_solves(self.J, self.r, self.base)
-            self.v = np.where(ok[:, None],
-                              self.base + x * self.coef[:, None], self.v)
+            x = np.where(ok[:, None], x, 0.0)   # meaningless where not ok
+            h = self.coef[:, None]
+            move = h * x
+            predicted = ok & (self.it < 0)
+            if predicted.any():
+                # x is the tangent at u; second order where there is an
+                # older one.
+                self.x_u = np.where(predicted[:, None], x, self.x_u)
+                bent = predicted & (self.t_prev < self.t)
+                span = np.where(bent, self.t - self.t_prev, 1.0)[:, None]
+                move = np.where(bent[:, None],
+                                move + 0.5 * h**2 * (x - self.x_prev) / span,
+                                move)
+            self.v = np.where(ok[:, None], self.base + move, self.v)
             self.it = self.it + ok
             self.fresh = ok
             spent = self.ticks >= MAX_TICKS
@@ -377,6 +401,10 @@ class _Lockstep:
             self.u = np.where(a1, self.v, self.u)
             self.J_u = np.where(acc[:, None, None], J, self.J_u)
             self.r_u = np.where(a1, -dr * self.rates, self.r_u)
+            # Every accepted point but a stage's start (step 0) was
+            # predicted from u, whose tangent x_u that prediction solved for.
+            self.x_prev = np.where(a1, self.x_u, self.x_prev)
+            self.t_prev = np.where(acc, self.t, self.t_prev)
             self.t = np.where(acc, self.t + self.step, self.t)
             self.dt = np.where(acc, 2 * self.dt, self.dt)
         if newton.any():
@@ -476,9 +504,14 @@ def to_chart(f1, f2, chart):
 
 def _affine_into_unit(points):
     """Order-preserving affine map with image inside [-0.95, -0.05]; a
-    single point goes to -0.95."""
+    single point goes to -0.95.  Raises PathStuck when the spread of the
+    points (above 1.8e308) or its inverse (below 5e-309) overflows."""
     pmin, pmax = points.min(), points.max()
-    alpha = 0.9 / ((pmax - pmin) or 1.0)
+    with np.errstate(over="ignore"):
+        alpha = 0.9 / ((pmax - pmin) or 1.0)
+    if not 0.0 < alpha < np.inf:
+        raise PathStuck(f"points from {pmin:.3g} to {pmax:.3g} do not map "
+                        "into the build interval in double precision")
     beta = -0.95 - alpha * pmin
     return alpha, beta
 
@@ -584,8 +617,10 @@ def distinct_points(points):
     points = np.sort(np.asarray(points, dtype=float))
     if not np.isfinite(points).all():
         raise InvalidInput("points must be finite")
-    if points.size > 1 \
-            and np.diff(points).min() <= 1e-12 * np.abs(points).max():
+    # A gap too wide for a float is inf: distinct.
+    with np.errstate(over="ignore"):
+        gaps = np.diff(points)
+    if points.size > 1 and gaps.min() <= 1e-12 * np.abs(points).max():
         raise InvalidInput("points must be distinct, more than 1e-12 of "
                            "max|p| apart")
     return points
@@ -601,7 +636,8 @@ def solve_all(points, d, e=None):
     trie and polished together (_polish); the first word, in order, whose
     build or polish fails raises its error.  CountMismatch names two words
     that end with the same q1, which fixes the class.  Points that fail
-    distinct_points, or are not n, raise InvalidInput.
+    distinct_points, or are not n, raise InvalidInput; points that do not
+    map into the build interval in double precision raise PathStuck.
     """
     e = d - 1 if e is None else e
     points = distinct_points(points)
@@ -611,9 +647,10 @@ def solve_all(points, d, e=None):
     alpha, beta = _affine_into_unit(points)
     built = _build_trie(sigmas, _staged_targets(alpha * points + beta), d, e)
     # On points spread over a tiny interval (1e-300 wide, say) alpha**d
-    # overflows, so a class carried back is not finite; no base polishes
-    # it, and it raises PathStuck.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # overflows, and on tiny points (1e-150) the Lagrange weights underflow
+    # to 0, so a class carried back or its rows are not finite; no base
+    # polishes it, and it raises PathStuck.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         classes = _polish(built, points, alpha, beta)
     # Two words are one class when their q1 agree to 1e-6, relatively.
     q1 = np.array([pc.q1 for pc in classes])

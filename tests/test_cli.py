@@ -166,6 +166,19 @@ def test_solve_too_close_to_carry_back_is_stuck():
     assert json.loads(text)["kind"] == "PathStuck"
 
 
+@pytest.mark.parametrize("points", [
+    "-1e308,1e308",     # the gap overflows
+    "-5e-324,5e-324",   # the map into the build interval overflows
+    "1e-150,2e-150,3e-150,4e-150",  # the polish's row weights underflow
+])
+def test_extreme_valid_points_fail_without_a_warning(points):
+    # The suite turns a RuntimeWarning into an error.
+    for cmd in (["solve"], ["net"], ["verify"], ["bethe"],
+                ["equilibrium", "--m", "1"]):
+        code, text = cli.run([*cmd, "--points=" + points])
+        assert code in (0, 1), (cmd, text)
+
+
 @st.composite
 def affine_point_sets(draw):
     """beta + alpha u for n in {2, 4, 6} points u 1e-3 to 1 apart, with

@@ -9,6 +9,8 @@ from numpy.polynomial import polynomial as P
 from wronski import cli, electro, fuchs, poly, tracker
 from wronski.errors import InvalidInput, NotASolution, PathStuck
 
+from test_stress import stress_points
+
 Z = np.array([0.0, 1.0])
 Z2P1 = np.array([1.0, 0.0, 1.0])
 CUBIC = np.array([0.0, -3.0, 0.0, 1.0])  # z^3 - 3z
@@ -147,6 +149,20 @@ def test_every_sector_bethe_and_equilibrium(a):
         for c in eqs:
             assert np.abs(electro.equilibrium_residual(c)).max(initial=0.0) \
                 <= 1e-9
+
+
+def test_bethe_and_equilibrium_at_n12():
+    # With an Euler predictor, sector e=4's word 222212111222 uses up its
+    # 100 ticks at step 8 here.
+    a = stress_points("uniform", 7, 2)
+    arg = "--points=" + ",".join(repr(float(p)) for p in a)
+    code, text = cli.run(["bethe", arg])
+    assert code == 0, text
+    assert Counter(sol["s"] for sol in json.loads(text)["solutions"]) == {
+        13 - 2 * e: _sector_size(12, e) for e in range(7)}
+    code, text = cli.run(["equilibrium", "--m", "4", arg])
+    assert code == 0, text
+    assert len(json.loads(text)["equilibria"]) == _sector_size(12, 4) == 275
 
 
 def test_polynomial_solutions_oracles():

@@ -10,6 +10,8 @@ from wronski.errors import ChartDegenerate, CountMismatch, PathStuck
 from wronski.seeds import apply_F, initial_pair
 from wronski.tracker import Chart, PairClass
 
+from test_stress import stress_points
+
 
 def test_solve_all_d2_closed_form():
     classes = tracker.solve_all([-1.0, 1.0], 2)
@@ -181,7 +183,8 @@ def _first_stage_stack(n):
 
 
 def test_lockstep_first_stage_takes_few_ticks():
-    # Accepted steps double from DT_INIT with no cap: 0.1, 0.2, 0.4, 0.3.
+    # Accepted steps double from DT_INIT with no cap: the start's
+    # acceptance doubles it to 0.5, and two steps of 0.5 arrive.
     lock = _first_stage_stack(1)
     ticks = 0
     while lock.node.size:
@@ -236,6 +239,50 @@ def test_lockstep_newton_miss_halves_the_step_and_retries_from_u():
     assert np.allclose(final, alone, rtol=1e-8, atol=0.0)
 
 
+def _stage_stack(word, d=4):
+    """A one-node stack of the last stage of the F-word prefix word of
+    degree d; the earlier stages are tracked alone."""
+    e = d - 1
+    mapped = np.linspace(-0.9, -0.1, d + e - 1)
+    pair = initial_pair(d)
+    for m, letter in enumerate(word, 1):
+        if m > 1:
+            q1, q2 = tracker._coefficients(lock.run()[0], pos, d, e, 0.0)
+            pair = replace(born, q1=q1[0], q2=q2[0])
+        born = apply_F(int(letter), 0.0, pair)
+        chart = Chart(base_point=0.0, d=d, k1=born.k1, k2=born.k2)
+        pos = chart.unknowns()[None]
+        lock = tracker._Lockstep(tracker._pack(born.q1, born.q2, chart)[None],
+                                 pos, d, e, 0.0,
+                                 np.append(mapped[:m - 1], 0.0)[None],
+                                 mapped[:m], 0.0, np.inf,
+                                 tracker.RESIDUAL_TOL)
+    return lock
+
+
+def test_lockstep_retry_keeps_the_older_tangent():
+    # The third stage of d = 4 bends: its tangent at t = 0.5 differs from
+    # the one at t = 0 by about a third.
+    lock = _stage_stack("112")
+    while lock.t[0] == 0.0:
+        lock.tick()
+    # u is accepted at t = 0.5, after the start at t = 0, and its tangent
+    # x1 is solved for.
+    u, x0, x1 = lock.u.copy(), lock.x_prev.copy(), lock.x_u.copy()
+    t, t_prev = lock.t[0], lock.t_prev[0]
+    assert (t, t_prev) == (0.5, 0.0) and not np.allclose(x1, x0)
+    lock.tol, lock.cap = -1.0, np.full_like(lock.cap, -1.0)
+    for _ in range(tracker.MAX_NEWTON + 1):
+        lock.tick()
+    # The retry from u with half the step solves for the same tangent x1
+    # and bends it with the older tangent x0, not with x1 itself.
+    h = lock.step[0]
+    assert h == 0.25 and lock.t[0] == t and lock.t_prev[0] == t_prev
+    assert np.array_equal(lock.x_u, x1) and np.array_equal(lock.x_prev, x0)
+    assert np.allclose(lock.v, u + h * x1 + h * h / 2 * (x1 - x0) / t,
+                       rtol=1e-14, atol=0.0)
+
+
 def test_lockstep_node_stuck_in_newton_leaves_the_stack():
     alone, _ = _first_stage_stack(1).run()
     lock = _first_stage_stack(3)
@@ -281,9 +328,26 @@ def test_packed_left_build_spends_its_budget_and_stops(monkeypatch):
         return rows(*args)
 
     monkeypatch.setattr(tracker, "_stacked_rows", counted)
-    with pytest.raises(PathStuck, match="word '11112222': step"):
+    with pytest.raises(PathStuck, match="word '11121222': step 8 "):
         tracker.solve_all(_packed_left(np.random.default_rng(1)), 5)
     assert len(calls) <= 600
+
+
+@pytest.mark.parametrize("kind, most", [("uniform", 100),
+                                        ("clustered", 115)])
+def test_d5_solve_stays_within_its_ticks(monkeypatch, kind, most):
+    # Each tick makes one _stacked_rows call: 86 (uniform) and 93
+    # (clustered) on these sets.  The bounds sit below the 133 and 161
+    # calls that an Euler predictor makes here.
+    rows, calls = tracker._stacked_rows, []
+
+    def counted(*args):
+        calls.append(1)
+        return rows(*args)
+
+    monkeypatch.setattr(tracker, "_stacked_rows", counted)
+    assert len(tracker.solve_all(stress_points(kind, 5, 1), 5)) == catalan(5)
+    assert len(calls) <= most
 
 
 def test_stuck_build_names_the_first_failing_word_and_step(monkeypatch):
