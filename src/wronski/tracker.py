@@ -15,7 +15,12 @@ the roots, since a class with real critical points is real.
 
 solve_all builds one class per F-word of the degree pair (a ballot
 sequence when e = d-1, the rational functions of degree d) and carries
-each to the n requested points.  Construction is staged: every
+each to the n requested points.  A word's class starts from (z^e, z^d)
+in the chart b(e, d) at 0 (initial_pair).  An F-operation F^i (apply_F),
+permitted while k1 > 0 for F^1 and k2 > k1 + 1 for F^2, adds a term
+a*z^(k_i - 1) with a >= 0 to q_i and lowers k_i by one, so one more
+Wronskian root leaves the multiple root at 0.  F^1 fires e times and F^2
+d-1 times, in the order of the word.  Construction is staged: every
 F-operation fires with parameter a = 0, where W / z^k of the newborn pair
 is z times its parent's, so its roots are exactly the placed ones and 0.
 The corrector then carries the newborn root from 0 to its prescribed
@@ -46,7 +51,7 @@ member q1 of degree e fixes the class, (q2 / q1)' = W / q1^2: a word whose
 path slipped onto another branch ends with another word's q1.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
@@ -55,7 +60,6 @@ from numpy.polynomial import polynomial as P
 from . import poly
 from .combinat import ballot_sequences
 from .errors import ChartDegenerate, CountMismatch, InvalidInput, PathStuck
-from .seeds import CanonicalPair, apply_F, initial_pair
 
 RESIDUAL_TOL = 1e-10    # staged rows are accepted below this or their floor
 MAX_NEWTON = 3          # Newton steps per point; a miss halves the step
@@ -90,7 +94,7 @@ class Chart:
 
 @dataclass(frozen=True)
 class PairClass:
-    """A polynomial pair normalized in a chart, plus its branch label."""
+    """A pair normalized in a chart, labelled by its F-word or prefix."""
     q1: np.ndarray
     q2: np.ndarray
     chart: Chart
@@ -100,11 +104,55 @@ class PairClass:
     def d(self):
         return self.chart.d
 
+    @property
+    def sigma(self):
+        # perfbench's _birth_key reads .sigma from the pair passed to
+        # apply_F, and a traced run fails without it; remove this once the
+        # benchmark keys births by ballot.
+        return self.ballot
+
     def wronskian(self):
         return poly.wronskian(self.q1, self.q2)
 
     def wronskian_roots(self):
         return np.sort_complex(poly.roots(self.wronskian()))
+
+
+def initial_pair(d, e=None):
+    """The root of the F-word trie: (z^e, z^d) in the chart b(e, d) at 0,
+    by default e = d-1."""
+    if d < 2:
+        raise InvalidInput("degree must be at least 2")
+    e = d - 1 if e is None else e
+    if not 0 <= e < d:
+        raise InvalidInput("lower degree must lie in [0, d)")
+    q1, q2 = np.append(np.zeros(e), 1.0), np.append(np.zeros(d), 1.0)
+    return PairClass(q1, q2, Chart(0.0, d, k1=e, k2=d, e=e))
+
+
+def permitted(i, pair):
+    """Whether operation F^i keeps 0 <= k1 < k2 <= d."""
+    if i == 1:
+        return pair.chart.k1 > 0
+    if i == 2:
+        return pair.chart.k2 > pair.chart.k1 + 1
+    raise InvalidInput("operation index must be 1 or 2")
+
+
+def apply_F(i, a, pair):
+    """Add the term a*z^{k_i - 1} to q_i; k_i drops by one."""
+    chart = pair.chart
+    if not permitted(i, pair):
+        raise InvalidInput(f"F^{i} not permitted on b({chart.k1}, {chart.k2})")
+    if a < 0:
+        raise InvalidInput("parameter must be non-negative")
+    if i == 1:
+        q1 = pair.q1.copy()
+        q1[chart.k1 - 1] = a
+        return replace(pair, q1=q1, chart=replace(chart, k1=chart.k1 - 1))
+    q2 = pair.q2.copy()
+    q2[chart.k2 - 1] = a
+    return replace(pair, q2=q2, chart=replace(chart, k2=chart.k2 - 1))
 
 
 def _coefficients(U, pos, d, e, z0):
@@ -130,28 +178,17 @@ def _pack(q1, q2, chart):
 
 
 @cache
-def _wronski_tensor(d, e):
-    """T[m, a, b] = coefficient of z^m in W(z^a, z^b) = (b - a) z^(a+b-1)
-    for a <= e, b <= d; built once per degree pair and read-only."""
-    m = np.arange(d + e)[:, None, None]
-    a = np.arange(e + 1)[None, :, None]
-    b = np.arange(d + 1)[None, None, :]
-    T = np.where(a + b - 1 == m, b - a, 0).astype(float)
-    T.flags.writeable = False
-    return T
-
-
-@cache
 def _wronski_terms(d, e):
-    """T has at most one nonzero entry along each of its last two axes, at
-    a + b = m + 1.  Returns (B, TB, A, TA): that entry's position and value,
-    so that T @ q2 = TB * q2[B] and q1 @ T = TA * q1[A] with every
-    coefficient of either a single product."""
-    T = _wronski_tensor(d, e)
-    B = np.abs(T).argmax(axis=2)
-    A = np.abs(T).argmax(axis=1)
-    terms = (B, np.take_along_axis(T, B[..., None], axis=2)[..., 0],
-             A, np.take_along_axis(T, A[:, None, :], axis=1)[:, 0])
+    """W(z^a, z^b) = (b - a) z^(a+b-1): its coefficient tensor T[m, a, b],
+    for a <= e and b <= d, has at most one nonzero entry along each of its
+    last two axes, at a + b = m + 1.  Returns (B, TB, A, TA), that entry's
+    position and value, so that T @ q2 = TB * q2[B] and q1 @ T =
+    TA * q1[A]; cached per degree pair and read-only."""
+    m = np.arange(d + e)[:, None]
+    a, b = np.arange(e + 1), np.arange(d + 1)
+    B, A = np.clip(m + 1 - a, 0, d), np.clip(m + 1 - b, 0, e)
+    terms = (B, np.where(B == m + 1 - a, B - a, 0).astype(float),
+             A, np.where(A == m + 1 - b, b - A, 0).astype(float))
     for t in terms:
         t.flags.writeable = False
     return terms
@@ -526,10 +563,8 @@ def _build_trie(sigmas, mapped, d, e):
     for m in range(1, d + e):
         prefixes = sorted({s[:m] for s in sigmas})
         born = [apply_F(int(p[-1]), 0.0, level[p[:-1]]) for p in prefixes]
-        charts = [Chart(base_point=0.0, d=d, k1=c.k1, k2=c.k2, e=e)
-                  for c in born]
-        pos = np.array([ch.unknowns() for ch in charts])
-        U = np.array([_pack(c.q1, c.q2, ch) for c, ch in zip(born, charts)])
+        pos = np.array([c.chart.unknowns() for c in born])
+        U = np.array([_pack(c.q1, c.q2, c.chart) for c in born])
         # Born at a = 0, W / z^k is z times the parent's: the placed roots
         # and a newborn one at 0, exactly.
         starts = np.tile(np.append(mapped[:m - 1], 0.0), (len(born), 1))
@@ -540,13 +575,10 @@ def _build_trie(sigmas, mapped, d, e):
             word = next(s for s in sigmas if s.startswith(p))
             raise PathStuck(f"word {word!r}: step {m} did not reach its "
                             f"target within {MAX_TICKS} ticks")
-        level = {p: CanonicalPair(d=d, k1=c.k1, k2=c.k2, q1=q1.copy(),
-                                  q2=q2.copy(), sigma=p)
+        level = {p: replace(c, q1=q1.copy(), q2=q2.copy(), ballot=p)
                  for p, c, q1, q2 in zip(prefixes, born,
                                          *_coefficients(U, pos, d, e, 0.0))}
-    return [PairClass(q1=level[s].q1, q2=level[s].q2,
-                      chart=Chart(base_point=0.0, d=d, e=e), ballot=s)
-            for s in sigmas]
+    return [level[s] for s in sigmas]
 
 
 def build_branch(sigma, mapped, d):
@@ -635,11 +667,12 @@ def solve_all(points, d, e=None):
     at the default), in word order.  The words are built together on their
     trie and polished together (_polish); the first word, in order, whose
     build or polish fails raises its error.  CountMismatch names two words
-    that end with the same q1, which fixes the class.  Points that fail
-    distinct_points, or are not n, raise InvalidInput; points that do not
-    map into the build interval in double precision raise PathStuck.
+    that end with the same q1, which fixes the class.  Degrees that
+    initial_pair rejects, then points that fail distinct_points or are not
+    n, raise InvalidInput; points that do not map into the build interval
+    in double precision raise PathStuck.
     """
-    e = d - 1 if e is None else e
+    e = initial_pair(d, e).chart.e
     points = distinct_points(points)
     if points.size != d + e - 1:
         raise InvalidInput(f"need {d + e - 1} points for degree {d}")

@@ -208,22 +208,24 @@ def test_criterion_8_counting_identities():
 def test_criterion_9_numerical_hygiene():
     # analytic Jacobian of the Lagrange-form rows that the Newton corrector
     # solves vs central finite differences, on the polish chart b(0, 1) at
-    # a random base point and on staged charts b(k1, k2) at 0
+    # a random base point and on staged charts b(k1, k2) at 0, for degree
+    # pairs (e, d) with any e in [0, d)
     rng = np.random.default_rng(11)
     checked = draws = 0
     while checked < 100:
         draws += 1
         assert draws <= 1000, f"only {checked} of 100 Jacobians checked"
         d = int(rng.integers(2, 5))
+        e = int(rng.integers(0, d))
         if checked % 2:
-            k1 = int(rng.integers(0, d))
+            k1 = int(rng.integers(0, e + 1))
             k2 = int(rng.integers(k1 + 1, d + 1))
-            if k1 + k2 > 2 * d - 2:
+            if k1 + k2 > d + e - 1:
                 continue
-            chart = Chart(base_point=0.0, d=d, k1=k1, k2=k2)
+            chart = Chart(base_point=0.0, d=d, k1=k1, k2=k2, e=e)
         else:
-            chart = Chart(base_point=float(rng.uniform(-2, 2)), d=d)
-        n = 2 * d - 1 - chart.k1 - chart.k2
+            chart = Chart(base_point=float(rng.uniform(-2, 2)), d=d, e=e)
+        n = d + e - chart.k1 - chart.k2
         rho = np.sort(rng.uniform(-1, 0, n))
         if n > 1 and np.diff(rho).min() < 1e-2:
             continue

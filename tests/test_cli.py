@@ -9,8 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wronski import (cli, combinat, electro, fuchs, nets, poly, seeds,
-                     tracker)
+from wronski import cli, combinat, electro, fuchs, nets, poly, tracker
 from wronski.electro import ChargeConfig
 from wronski.errors import InvalidInput, WronskiError
 
@@ -356,14 +355,15 @@ INPUT_ERRORS = {
     "InvalidContent": lambda: combinat.kostka((1, 1, 1), 3),
     "LengthMismatch": lambda: fuchs.bethe_residual([1, 1, 1], [-1, 1]),
     "NegativeDiscriminant": lambda: fuchs.prop6_check([10, 10], [1, 2]),
-    "NegativeParameter": lambda: seeds.apply_F(
-        1, -1.0, seeds.initial_pair(3)),
+    "NegativeParameter": lambda: tracker.apply_F(
+        1, -1.0, tracker.initial_pair(3)),
     "NonRealInput": lambda: nets.trace_net([tracker.PairClass(
         q1=np.array([1j, 1]), q2=np.array([1, 0, 1], dtype=complex),
         chart=tracker.Chart(0.0, 2), ballot="")], [-1, 1])[0],
     "NonzeroResidue": lambda: electro.second_solution([-1.0, 0.0, 1.0],
                                                       [-0.5, 1.0]),
-    "NotPermitted": lambda: seeds.apply_F(2, 0.1, seeds.initial_pair(3)),
+    "NotPermitted": lambda: tracker.apply_F(2, 0.1,
+                                            tracker.initial_pair(3)),
     "SharedRoot": lambda: electro.second_solution([-1.0, 0.0, 1.0],
                                                   [-1.0, 1.0]),
     "ZeroPolynomial": lambda: poly.roots([0.0, 0.0]),

@@ -6,9 +6,9 @@ import pytest
 
 from wronski import poly, tracker
 from wronski.combinat import ballot_sequences, catalan
-from wronski.errors import ChartDegenerate, CountMismatch, PathStuck
-from wronski.seeds import apply_F, initial_pair
-from wronski.tracker import Chart, PairClass
+from wronski.errors import (ChartDegenerate, CountMismatch, InvalidInput,
+                            PathStuck)
+from wronski.tracker import Chart, PairClass, apply_F, initial_pair, permitted
 
 from test_stress import stress_points
 
@@ -45,6 +45,13 @@ def test_solve_all_validates_input():
         tracker.solve_all([-1.0, 0.0, 1.0], 3)  # wrong count
     with pytest.raises(ValueError):
         tracker.solve_all([-1.0, -1.0, 0.0, 1.0], 3)  # duplicates
+    # The degree pair is checked before the point count it sets.
+    with pytest.raises(InvalidInput, match="^degree must be at least 2$"):
+        tracker.solve_all([1.0], 1)
+    for points, e in (([1, 2, 3, 4], 3), ([1, 2], -1)):
+        with pytest.raises(InvalidInput,
+                           match=r"^lower degree must lie in \[0, d\)$"):
+            tracker.solve_all(points, 3, e)
 
 
 def test_to_chart_renormalizes_span():
@@ -174,10 +181,9 @@ def _first_stage_stack(n):
     """A lockstep stack of n copies of the first stage of d = 3."""
     mapped = np.array([-0.9, -0.6, -0.3, -0.1])
     born = apply_F(1, 0.0, initial_pair(3))
-    chart = Chart(base_point=0.0, d=3, k1=born.k1, k2=born.k2)
-    u = tracker._pack(born.q1, born.q2, chart)
+    u = tracker._pack(born.q1, born.q2, born.chart)
     return tracker._Lockstep(np.tile(u, (n, 1)),
-                             np.tile(chart.unknowns(), (n, 1)), 3, 2, 0.0,
+                             np.tile(born.chart.unknowns(), (n, 1)), 3, 2, 0.0,
                              np.zeros((n, 1)), mapped[:1], 0.0, np.inf,
                              tracker.RESIDUAL_TOL)
 
@@ -250,9 +256,9 @@ def _stage_stack(word, d=4):
             q1, q2 = tracker._coefficients(lock.run()[0], pos, d, e, 0.0)
             pair = replace(born, q1=q1[0], q2=q2[0])
         born = apply_F(int(letter), 0.0, pair)
-        chart = Chart(base_point=0.0, d=d, k1=born.k1, k2=born.k2)
-        pos = chart.unknowns()[None]
-        lock = tracker._Lockstep(tracker._pack(born.q1, born.q2, chart)[None],
+        pos = born.chart.unknowns()[None]
+        lock = tracker._Lockstep(tracker._pack(born.q1, born.q2,
+                                               born.chart)[None],
                                  pos, d, e, 0.0,
                                  np.append(mapped[:m - 1], 0.0)[None],
                                  mapped[:m], 0.0, np.inf,
@@ -355,7 +361,7 @@ def test_stuck_build_names_the_first_failing_word_and_step(monkeypatch):
     # and names the first word through it, the second word in order.
     def poisoned(i, a, pair):
         born = apply_F(i, a, pair)
-        if pair.sigma + str(i) == "1121":
+        if pair.ballot + str(i) == "1121":
             born = replace(born, q1=np.full_like(born.q1, np.nan))
         return born
 
@@ -415,8 +421,56 @@ def test_solve_branch_order_matches_ballot_dictionary():
     assert [pc.ballot for pc in classes] == ["1122", "1212"]
 
 
-def test_wronski_tensor_cached_read_only():
-    T = tracker._wronski_tensor(4, 2)
-    assert tracker._wronski_tensor(4, 2) is T
-    assert not T.flags.writeable
-    assert T.shape == (6, 3, 5)
+def test_wronski_terms_cached_read_only_and_exact():
+    rng = np.random.default_rng(3)
+    for d, e in ((4, 3), (4, 2), (5, 1), (6, 0)):
+        terms = tracker._wronski_terms(d, e)
+        assert tracker._wronski_terms(d, e) is terms
+        assert not any(t.flags.writeable for t in terms)
+        # T[m, a, b]: the coefficient of z^m in W(z^a, z^b) = (b - a)
+        # z^(a+b-1).
+        T = np.zeros((d + e, e + 1, d + 1))
+        for a in range(e + 1):
+            for b in range(d + 1):
+                if a + b >= 1:
+                    T[a + b - 1, a, b] = b - a
+        B, TB, A, TA = terms
+        q1, q2 = rng.normal(size=e + 1), rng.normal(size=d + 1)
+        assert np.array_equal(TB * q2[B], T @ q2)
+        assert np.array_equal(TA * q1[A], q1 @ T)
+
+
+def test_initial_pair():
+    p = initial_pair(4)
+    assert (p.chart.k1, p.chart.k2) == (3, 4)
+    assert np.allclose(p.q1, [0, 0, 0, 1])
+    assert np.allclose(p.q2, [0, 0, 0, 0, 1])
+    # the Wronskian is a pure power of z, of order k1 + k2 - 1
+    assert p.chart.k1 + p.chart.k2 - 1 == 6
+    p = initial_pair(4, 1)
+    assert (p.chart.k1, p.chart.k2) == (1, 4)
+    assert np.allclose(p.q1, [0, 1])
+    assert p.chart.k1 + p.chart.k2 - 1 == 4
+
+
+def test_permitted_rule():
+    p = initial_pair(3)
+    assert permitted(1, p)          # k1 = 2 > 0
+    assert not permitted(2, p)      # k2 = k1 + 1
+    p = apply_F(1, 0.1, p)
+    assert permitted(2, p)          # now k2 > k1 + 1
+
+
+def test_apply_F_errors():
+    p = initial_pair(3)
+    with pytest.raises(InvalidInput):
+        apply_F(2, 0.1, p)
+    with pytest.raises(InvalidInput):
+        apply_F(1, -1.0, p)
+
+
+def test_apply_F_drops_exponent_and_keeps_monic():
+    p = initial_pair(3)
+    q = apply_F(1, 0.25, p)
+    assert (q.chart.k1, q.chart.k2) == (1, 3)
+    assert q.q1[1] == 0.25 and q.q1[2] == 1.0
