@@ -29,7 +29,8 @@ def _parse_points(text):
 
 
 def _round(x):
-    # fixed-precision serialization keeps equal runs byte-identical
+    # Computed values at 12 digits keep equal runs byte-identical; the input
+    # points are echoed in full (tolist), as 12 digits would merge some.
     return float(f"{float(x):.12g}")
 
 
@@ -37,12 +38,9 @@ def _vec(v):
     return [_round(t) for t in np.asarray(v, dtype=float)]
 
 
-def _class_doc(pc, points):
-    points = np.sort(points)
-    # W's computed roots only report the solver's accuracy; the residues
-    # are taken at the given points, the equation's singular points.
+def _class_doc(pc, x, points):
+    # W's computed roots only report the solver's accuracy.
     w_roots = np.sort(pc.wronskian_roots().real)
-    x = fuchs.residues((pc.q1, pc.q2), points)
     net = nets.net_from_ballot(pc.ballot, points)
     return {
         "ballot": pc.ballot,
@@ -92,15 +90,17 @@ def cmd_solve(args):
     if args.points is None:
         raise InvalidInput("solve requires --points")
     classes, d = _solve(args.points, args.d)
-    return {"command": "solve", "d": d, "points": _vec(np.sort(args.points)),
-            "classes": [_class_doc(pc, args.points) for pc in classes]}
+    pts = np.sort(args.points)
+    return {"command": "solve", "d": d, "points": pts.tolist(),
+            "classes": [_class_doc(pc, x, pts) for pc, x in
+                        zip(classes, fuchs.residues(classes, pts))]}
 
 
 def cmd_bethe(args):
     if args.points is None:
         raise InvalidInput("bethe requires --points (the singular points a)")
     sols = fuchs.bethe_solve(args.points)
-    return {"command": "bethe", "a": _vec(np.sort(args.points)),
+    return {"command": "bethe", "a": np.sort(args.points).tolist(),
             "solutions": [{"x": _vec(s.x), "s": s.s,
                            "qstar": _round(s.qstar),
                            "degrees": list(s.degrees)} for s in sols]}
@@ -118,7 +118,7 @@ def cmd_equilibrium(args):
             "energy": _round(electro.energy(c)),
             "residual_norm": _round(np.abs(r).max(initial=0.0)),
         })
-    return {"command": "equilibrium", "a": _vec(np.sort(args.points)),
+    return {"command": "equilibrium", "a": np.sort(args.points).tolist(),
             "m": args.m, "equilibria": docs}
 
 
@@ -134,7 +134,7 @@ def cmd_net(args):
             emit_svg(traced, args.svg)
         if fh:
             _emit_csv(traced, fh)
-    return {"command": "net", "d": d, "points": _vec(np.sort(args.points)),
+    return {"command": "net", "d": d, "points": np.sort(args.points).tolist(),
             "nets": [{"ballot": pc.ballot,
                       "matching": sorted(list(p) for p in net.matching),
                       "distinguished": net.distinguished}
@@ -148,10 +148,9 @@ def cmd_verify(args):
     pts = np.sort(args.points)
     max_res = 0.0
     round_trip = True
-    for pc in classes:
+    for pc, x in zip(classes, fuchs.residues(classes, pts)):
         w_roots = np.sort(pc.wronskian_roots().real)
         max_res = max(max_res, float(np.abs(w_roots - pts).max()))
-        x = fuchs.residues((pc.q1, pc.q2), pts)
         lo, hi = fuchs.polynomial_solutions(pts, x)
         if not poly.span_equivalent((lo, hi), (pc.q1, pc.q2), tol=1e-6):
             round_trip = False
@@ -162,7 +161,7 @@ def cmd_verify(args):
                        for pc in classes]
     ok = round_trip and distinct and match \
         and max_res < 1e-8 * (1 + np.abs(pts).max())
-    return {"command": "verify", "d": d, "points": _vec(pts),
+    return {"command": "verify", "d": d, "points": pts.tolist(),
             "classes": len(classes), "round_trip_ok": round_trip,
             "nets_distinct": distinct, "nets_match_ballot": match,
             "max_residual": _round(max_res), "ok": bool(ok)}

@@ -14,7 +14,7 @@ Equilibria coincide with root sets of the lower-degree polynomial
 solutions of the associated second order equation: solve_equilibrium
 takes the classes of degrees (m, n + 1 - m) with Wronskian roots at the
 fixed charges (tracker.solve_all) and returns the roots of each class's
-q1, the span's unique monic element of degree m.
+q1, the span's unique monic element of degree m (PairClass.lower_roots).
 """
 
 from dataclasses import dataclass
@@ -142,7 +142,7 @@ def solve_equilibrium(fixed, m):
         return [ChargeConfig(fixed=fixed, mobile=np.zeros(0, complex))]
     out = []
     for cls in tracker.solve_all(fixed, n + 1 - m, m):
-        z = poly.roots(cls.q1).astype(complex)
+        z = cls.lower_roots()
         try:
             z = _refine(z, fixed)
             # Complex Newton steps leave a real charge an imaginary part at

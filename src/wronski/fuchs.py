@@ -2,10 +2,10 @@
 
 A pair (y1, y2) spanning a class satisfies a second order equation
 A y'' + B y' + C y = 0 with A = W(y1, y2), B = -A', C = W(y1', y2').
-Its singular points are the roots a_k of A, which are the prescribed
-critical points, so residues evaluates x_k = C(a_k)/A'(a_k) at the given
-points rather than at computed roots of A.  The residues x_k of Q = C/A
-solve the quadratic rational system
+Its singular points are the roots a_k of A, the prescribed critical
+points, so residues evaluates x_k = C(a_k)/A'(a_k) at the given points, for
+every class of a call in one pass over tracker.derivative_stack, with no
+equation built.  The residues x_k of Q = C/A solve the quadratic system
 
     x_k^2 = sum_{j != k} (x_j - x_k) / (a_j - a_k),
 
@@ -49,24 +49,26 @@ def ode_from_pair(pair):
     return A, -P.polyder(A), poly.wronskian(P.polyder(y1), P.polyder(y2))
 
 
-def residues(pair, a):
-    """Residues x_k = C(a_k)/A'(a_k) of C/A at the given singular points,
-    in ascending order of a.
-
-    The points must be the roots of A = W(y1, y2): one per degree, and
-    |A(a_k)| at most 1e-8 times the magnitude of the terms it sums,
-    (|y1| |y2'| + |y1'| |y2|)(|a_k|).
-    """
-    y1, y2 = (poly.as_poly(p) for p in pair)
-    A, B, C = ode_from_pair((y1, y2))
+def residues(classes, a):
+    """Residues x_k = C(a_k)/A'(a_k), A' = q1 q2'' - q1'' q2 and
+    C = q1' q2'' - q1'' q2', at the ascending points, of every class of a
+    list (or pair (q1, q2) written by hand): shape (classes, points).
+    InvalidInput unless each pair has nonzero members of degrees e < d, as
+    a class has and a dependent pair has not, and d + e - 1 points, the
+    roots of A = W(q1, q2); NotASolution where |A(a_k)| exceeds 1e-8 times
+    the terms it sums, (|q1| |q2'| + |q1'| |q2|)(|a_k|)."""
     a = np.sort(np.asarray(a, dtype=float))
-    if a.size != A.size - 1:
-        raise InvalidInput("need one point per root of the Wronskian")
-    terms = P.polyadd(P.polymul(abs(y1), abs(P.polyder(y2))),
-                      P.polymul(abs(P.polyder(y1)), abs(y2)))
-    if np.any(np.abs(P.polyval(a, A)) > 1e-8 * P.polyval(np.abs(a), terms)):
+    C = tracker.derivative_stack(classes, 2)
+    # each pair's degrees, lower first, at its last nonzero coefficients
+    e, d = np.sort((C[:2] != 0).cumsum(axis=1).argmax(axis=1), axis=0)
+    if not C[:2].any(axis=1).all() or np.any((e == d) | (d + e - 1 != a.size)):
+        raise InvalidInput("need two nonzero polynomials of distinct degrees "
+                           "and one point per root of their Wronskian")
+    y1, y2, d1, d2, s1, s2 = tracker.evaluate(C[..., None], a)
+    m1, m2, n1, n2 = tracker.evaluate(np.abs(C[:4, ..., None]), np.abs(a))
+    if np.any(np.abs(y1 * d2 - d1 * y2) > 1e-8 * (m1 * n2 + n1 * m2)):
         raise NotASolution("points are not roots of the Wronskian")
-    return P.polyval(a, C) / P.polyval(a, -B)  # -B = A'
+    return (d1 * s2 - s1 * d2) / (y1 * s2 - s1 * y2)
 
 
 def bethe_residual(x, a):
@@ -80,22 +82,6 @@ def bethe_residual(x, a):
     np.fill_diagonal(diff, np.inf)
     rhs = ((x[None, :] - x[:, None]) / diff).sum(axis=1)
     return x ** 2 - rhs
-
-
-def prop6_check(x, a):
-    """Proposition 6 for residues x that a caller supplies: (sum of x,
-    q* = sum x_k a_k, s = sqrt((n+1)^2 - 4 q*)); raises InvalidInput where
-    (n+1)^2 - 4 q* is below -1e-9, which no solution of the system has.
-    The solver's classes read s off their degree pair instead, s = d - e."""
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
-    n = a.size
-    total = float(x.sum())
-    qstar = float((x * a).sum())
-    disc = (n + 1) ** 2 - 4 * qstar
-    if disc < -1e-9:
-        raise InvalidInput("(n+1)^2 - 4 q* is negative")
-    return total, qstar, float(np.sqrt(max(disc, 0.0)))
 
 
 def _term_size(x, a):
@@ -145,10 +131,10 @@ def bethe_sector(a, e):
     n = a.size
     d = n + 1 - e
     out = []
-    for cls in tracker.solve_all(a, d, e):
-        # + 0.0 turns the -0.0 of a zero residue over a negative A'(a_k)
-        # into 0.0
-        x = _refine(residues((cls.q1, cls.q2), a), a) + 0.0
+    classes = tracker.solve_all(a, d, e)
+    for cls, x in zip(classes, residues(classes, a)):
+        # + 0.0 turns the -0.0 of a zero residue into 0.0
+        x = _refine(x, a) + 0.0
         qstar = float((x * a).sum())
         F = np.append(bethe_residual(x, a), x.sum())
         if np.any(np.abs(F) > 1e-9 * _term_size(x, a)) \

@@ -9,10 +9,10 @@ distinguished rightmost vertex this matching determines the class.
 Tracing works on the real function phi(z) = Im(q1(z) * conj(q2(z))),
 whose zero set away from the real axis is exactly Im g = 0 -- this avoids
 any special handling of poles of g along the curve.  `trace_net` traces
-the arcs of all classes of one point set in lockstep, as one complex
-NumPy state, from both ends, which must pair up.  The vertices are the
-given critical points, not computed roots of the Wronskian, so every
-class shares them.  Each arc keeps its own tangent, step and flags and
+the arcs of all classes of one point set in lockstep, as one complex NumPy
+state over tracker.derivative_stack, from both ends, which must pair up.
+The vertices are the given points, not computed roots of the Wronskian, so
+every class shares them.  Each arc keeps its own tangent, step and flags and
 leaves the stack when it lands, so its polyline does not depend on the
 rest of the stack.  An arc launches vertically at CAPTURE times the
 smallest gap between the points and lands on a vertex within that radius,
@@ -33,7 +33,6 @@ not their distance from 0.
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from . import tracker
 from .combinat import ballot_to_matching, is_noncrossing
@@ -65,13 +64,9 @@ class Net:
 
 def _phi_and_gradient(C, z):
     """phi = Im(q1 conj(q2)) and its real gradient as a complex number at
-    one point z per arc.  C holds the coefficients of (q1, q2, q1', q2') of
-    every arc, shape (4, degree + 1, arcs); Horner's rule runs along
-    axis 1."""
-    v = C[:, -1]
-    for k in range(C.shape[1] - 2, -1, -1):
-        v = C[:, k] + v * z
-    v1, v2, d1, d2 = v
+    one point z per arc.  C is the tracker.derivative_stack of order 1 of
+    the arcs' classes, one column per arc."""
+    v1, v2, d1, d2 = tracker.evaluate(C, z)
     c2 = v2.conj()
     # grad = 2 dphi/dconj(z) = i (conj(q1' conj(q2)) - q1 conj(q2'))
     return (v1 * c2).imag, 1j * ((d1 * c2).conj() - v1 * d2.conj())
@@ -171,23 +166,14 @@ def trace_net(classes, points, upward=True):
     the vertices of every net.  Raises InvalidInput for a class that is not
     real, or for points that fail tracker.distinct_points or are not
     2d - 2."""
-    classes, v, polys = list(classes), tracker.distinct_points(points), []
-    for pc in classes:
-        coeffs = np.concatenate([pc.q1, pc.q2])
-        if np.abs(coeffs.imag).max() > 1e-8 * np.abs(coeffs).max():
-            raise InvalidInput("coefficients must be real")
-        if v.size != 2 * pc.d - 2:
-            raise InvalidInput(f"need 2d - 2 = {2 * pc.d - 2} points")
-        q1, q2 = np.real(pc.q1), np.real(pc.q2)
-        polys.append((q1, q2, P.polyder(q1), P.polyder(q2)))
+    classes, v = list(classes), tracker.distinct_points(points)
     if not classes:
         return []
     n = v.size
-    C = np.zeros((4, max(p.size for ps in polys for p in ps),
-                  n * len(classes)))
-    for lo, ps in zip(range(0, C.shape[2], n), polys):
-        for row, p in zip(C, ps):
-            row[:p.size, lo:lo + n] = p[:, None]
+    # one column per arc: each class's n arcs, in vertex order
+    C = np.repeat(tracker.derivative_stack(classes, 1), n, axis=2)
+    if any(n != 2 * pc.d - 2 for pc in classes):
+        raise InvalidInput(f"need 2d - 2 = {2 * classes[0].d - 2} points")
     names = [f"word {pc.ballot}, arc from vertex {i + 1}"
              for pc in classes for i in range(n)]
     ends, lines = _sweep(C, np.tile(v, len(classes)), v,

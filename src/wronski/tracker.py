@@ -117,6 +117,39 @@ class PairClass:
     def wronskian_roots(self):
         return np.sort_complex(poly.roots(self.wronskian()))
 
+    def lower_roots(self):
+        return poly.roots(self.q1)
+
+
+def derivative_stack(classes, order):
+    """q1, q2 and their derivatives to `order` of every class, or pair
+    written by hand, as one real stack: rows (q1, q2, q1', q2', ...), degree
+    along axis 1, a column per class; InvalidInput if one is not real."""
+    pairs = [(pc.q1, pc.q2) if isinstance(pc, PairClass) else pc
+             for pc in classes]
+    width = max((len(q) for pair in pairs for q in pair), default=1)
+    C = np.zeros((2 * order + 2, width, len(pairs)), dtype=complex)
+    for j, (q1, q2) in enumerate(pairs):
+        C[0, :len(q1), j], C[1, :len(q2), j] = q1, q2
+    if np.any(np.abs(C.imag).max(axis=(0, 1))
+              > 1e-8 * np.abs(C).max(axis=(0, 1))):
+        raise InvalidInput("coefficients must be real")
+    C = np.ascontiguousarray(C.real)
+    # P.polyder's arithmetic: coefficient j of p' is (j + 1) p[j + 1]
+    j = np.arange(1, width)[:, None]
+    for row in range(2, C.shape[0]):
+        C[row, :-1] = j * C[row - 2, 1:]
+    return C
+
+
+def evaluate(C, z):
+    """The rows of a derivative stack at one point z per column, or, given
+    C[..., None], at points z for every column, by Horner's rule."""
+    v = C[:, -1]
+    for k in range(C.shape[1] - 2, -1, -1):
+        v = C[:, k] + v * z
+    return v
+
 
 def initial_pair(d, e=None):
     """The root of the F-word trie: (z^e, z^d) in the chart b(e, d) at 0,
@@ -165,11 +198,7 @@ def _coefficients(U, pos, d, e, z0):
     c[:, -1] = 1.0
     c.reshape(-1)[pos + width * np.arange(N)[:, None]] = U
     q1, q2 = c[:, :e + 1], c[:, e + 1:]
-    # q2(z0) = 0 pins the constant term; Horner's rule, as polyval.
-    acc = q2[:, d] + z0 * 0
-    for b in range(d - 1, -1, -1):
-        acc = q2[:, b] + acc * z0
-    q2[:, 0] = -acc
+    q2[:, 0] = -evaluate(q2.T[None], z0)[0]     # pins q2(z0) = 0
     return q1, q2
 
 

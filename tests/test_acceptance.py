@@ -85,8 +85,7 @@ def test_criterion_5_round_trip_dictionary(solve_runs):
     trials = failures = 0
     for d in (2, 3, 4):
         pts, classes = solve_runs[(d, 0)]
-        for pc in classes:
-            x = fuchs.residues((pc.q1, pc.q2), pts)
+        for pc, x in zip(classes, fuchs.residues(classes, pts)):
             lo, hi = fuchs.polynomial_solutions(pts, x)
             assert poly.span_equivalent((lo, hi), (pc.q1, pc.q2), tol=1e-6)
             for _ in range(5):

@@ -215,6 +215,14 @@ def test_valid_points_never_exit_2(points):
             assert {cls["s"] for cls in json.loads(text)["classes"]} == {1}
 
 
+def test_points_echoed_at_full_precision():
+    # 12 significant digits would print both points as 1.0
+    for cmd, key in (("solve", "points"), ("bethe", "a")):
+        code, text = cli.run([cmd, "--points=1,1.000000000002"])
+        assert code == 0, text
+        assert json.loads(text)[key] == [1.0, 1.000000000002]
+
+
 def test_verify_command():
     code, out = run_cli("verify", "--points", "-2,-1,1,2")
     assert code == 0
@@ -354,7 +362,6 @@ INPUT_ERRORS = {
     "InvalidBallot": lambda: combinat.ballot_to_matching("2211"),
     "InvalidContent": lambda: combinat.kostka((1, 1, 1), 3),
     "LengthMismatch": lambda: fuchs.bethe_residual([1, 1, 1], [-1, 1]),
-    "NegativeDiscriminant": lambda: fuchs.prop6_check([10, 10], [1, 2]),
     "NegativeParameter": lambda: tracker.apply_F(
         1, -1.0, tracker.initial_pair(3)),
     "NonRealInput": lambda: nets.trace_net([tracker.PairClass(

@@ -21,7 +21,7 @@ def test_ode_from_pair_legendre_like():
     assert np.allclose(A, [-1, 0, 1])
     assert np.allclose(B, [0, -2])
     assert np.allclose(C, [2])
-    assert np.allclose(fuchs.residues((Z, Z2P1), [1, -1]), [-1, 1])
+    assert np.allclose(fuchs.residues([(Z, Z2P1)], [1, -1])[0], [-1, 1])
 
 
 def test_ode_from_pair_constant_second():
@@ -29,8 +29,8 @@ def test_ode_from_pair_constant_second():
     assert np.allclose(A, [3, 0, -3])
     assert np.allclose(B, [0, 6])
     assert not C.any()
-    assert np.allclose(fuchs.residues((CUBIC, np.array([1.0])), [-1, 1]),
-                       [0, 0])
+    assert np.allclose(fuchs.residues([(CUBIC, np.array([1.0]))],
+                                      [-1, 1])[0], [0, 0])
 
 
 def test_ode_from_pair_rejects_dependent():
@@ -40,17 +40,25 @@ def test_ode_from_pair_rejects_dependent():
 
 def test_residues_reject_points_that_are_not_roots():
     with pytest.raises(NotASolution):
-        fuchs.residues((Z, Z2P1), [-1, 1 + 1e-6])
+        fuchs.residues([(Z, Z2P1)], [-1, 1 + 1e-6])
     with pytest.raises(InvalidInput):
-        fuchs.residues((Z, Z2P1), [-1, 0, 1])
+        fuchs.residues([(Z, Z2P1)], [-1, 0, 1])
     with pytest.raises(InvalidInput):
-        fuchs.residues((Z, Z2P1), [1])
+        fuchs.residues([(Z, Z2P1)], [1])
+
+
+def test_residues_need_pairs_of_distinct_degrees():
+    # dependent pairs, and a pair of equal degrees (its span's basis of
+    # distinct degrees is (Z, Z2P1)), anywhere in the stack
+    for pair in ((Z, 2 * Z), (np.zeros(3), Z2P1), (Z2P1, P.polyadd(Z2P1, Z))):
+        with pytest.raises(InvalidInput):
+            fuchs.residues([(Z, Z2P1), pair], [-1, 1])
 
 
 def test_residues_scale_invariant():
-    x1 = fuchs.residues((Z, Z2P1), [-1, 1])
-    x2 = fuchs.residues((5 * Z, Z2P1), [-1, 1])
-    x3 = fuchs.residues((Z, P.polyadd(Z2P1, 0.5 * Z)), [-1, 1])
+    x1 = fuchs.residues([(Z, Z2P1)], [-1, 1])[0]
+    x2 = fuchs.residues([(5 * Z, Z2P1)], [-1, 1])[0]
+    x3 = fuchs.residues([(Z, P.polyadd(Z2P1, 0.5 * Z))], [-1, 1])[0]
     assert np.allclose(x1, [-1, 1])
     assert np.allclose(x1, x2) and np.allclose(x1, x3)
 
@@ -65,14 +73,14 @@ def test_bethe_residual_oracles():
         fuchs.bethe_residual([1, 1, 1], [-1, 1])
 
 
-def test_prop6_check_oracles():
-    assert fuchs.prop6_check([-1, 1], [-1, 1]) == pytest.approx((0, 2, 1))
-    assert fuchs.prop6_check([0, 0], [-1, 1]) == pytest.approx((0, 0, 3))
-    # s=1 forces q* = (n^2 + 2n)/4
-    _, qstar, s = fuchs.prop6_check([-1, 1], [-1, 1])
-    assert s == pytest.approx(1) and qstar == pytest.approx((4 + 4) / 4)
-    with pytest.raises(InvalidInput):
-        fuchs.prop6_check([10, 10], [1, 2])
+def test_prop6_oracles():
+    # Proposition 6, s^2 = (n+1)^2 - 4 q*, on the two solutions at n = 2:
+    # x = 0 has q* = 0 and s = 3; s = 1 forces q* = ((n+1)^2 - 1) / 4 = 2.
+    sols = {s.s: s for s in fuchs.bethe_solve([-1, 1])}
+    assert sols.keys() == {1, 3}
+    assert np.array_equal(sols[3].x, [0.0, 0.0]) and sols[3].qstar == 0.0
+    assert sols[1].x == pytest.approx([-1, 1])
+    assert sols[1].qstar == pytest.approx(2)
 
 
 def test_bethe_solve_n2():
@@ -177,8 +185,8 @@ def test_polynomial_solutions_oracles():
 
 def test_round_trip_solver_to_fuchs():
     pts = np.array([-2.0, -0.7, 0.4, 1.5])
-    for pc in tracker.solve_all(pts, 3):
-        x = fuchs.residues((pc.q1, pc.q2), pts)
+    classes = tracker.solve_all(pts, 3)
+    for pc, x in zip(classes, fuchs.residues(classes, pts)):
         assert np.abs(fuchs.bethe_residual(fuchs._refine(x, pts), pts)).max() \
             <= 1e-8
         lo, hi = fuchs.polynomial_solutions(pts, x)

@@ -16,19 +16,22 @@ C(n, 2) - C(n, 1) equilibria on one of them.  Every class's traced net,
 upward and downward, must be the one its word predicts on every kind at
 d = 4 to 6, and tracing a class in a stack of classes must give the same
 polylines as tracing it alone.  Tracing stays cheap, in calls of the
-gradient rather than in seconds, and its polylines stay smooth.
+gradient rather than in seconds, and its polylines stay smooth.  The
+residues of a clustered set match exact rational arithmetic on each class's
+coefficients, and a class's residues do not depend on the stack it is in.
 """
 
 import functools
 import json
 from collections import Counter
+from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from wronski import cli, nets, tracker
+from wronski import cli, fuchs, nets, tracker
 from wronski.combinat import catalan
 from wronski.errors import WronskiError
 
@@ -117,6 +120,37 @@ def test_clustered_bethe_and_net_commands(d):
     for net in traced:
         predicted = nets.net_from_ballot(net["ballot"], pts).matching
         assert net["matching"] == sorted(list(p) for p in predicted)
+
+
+def _exact_residues(q1, q2, pts):
+    """C(a_k)/A'(a_k) = (q1' q2'' - q1'' q2')/(q1 q2'' - q1'' q2) at each
+    point, in exact rational arithmetic on the float coefficients."""
+    def derivatives(q):
+        out = [[Fraction(c) for c in q]]
+        for _ in range(2):
+            out.append([k * c for k, c in enumerate(out[-1])][1:])
+        return out
+
+    def value(p, z):
+        return sum(c * z ** k for k, c in enumerate(p))
+
+    out = []
+    for a in map(Fraction, pts):
+        y1, d1, s1 = (value(p, a) for p in derivatives(q1))
+        y2, d2, s2 = (value(p, a) for p in derivatives(q2))
+        out.append(float((d1 * s2 - s1 * d2) / (y1 * s2 - s1 * y2)))
+    return np.array(out)
+
+
+def test_stacked_residues_match_exact_arithmetic():
+    pts, classes = stress_points("clustered", 5, 1), _solved("clustered", 5, 1)
+    stacked = fuchs.residues(classes, pts)
+    for pc, x in zip(classes, stacked):
+        exact = _exact_residues(pc.q1, pc.q2, pts)
+        assert np.abs(x - exact).max() <= 1e-8 * np.abs(exact).max(), \
+            pc.ballot
+        # alone or in the stack, a class's residues are the same floats
+        assert np.array_equal(fuchs.residues([pc], pts)[0], x), pc.ballot
 
 
 NET_CASES = [(kind, d, seed) for kind in KINDS for d in (4, 5, 6)
